@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from repro.bio.phylo.alignment import SiteAlignment
 from repro.bio.phylo.likelihood import TreeLikelihood
 from repro.bio.phylo.models import GammaRates, HKY85, N_STATES, SubstitutionModel
-from repro.bio.phylo.optimize import optimize_all_branches
+from repro.bio.phylo.optimize import bounded_minimize, optimize_all_branches
 from repro.bio.phylo.tree import Tree
 
 
@@ -61,13 +60,10 @@ def fit_kappa(
         model = HKY85(float(np.exp(log_kappa)), freqs)
         return -TreeLikelihood(tree, alignment, model, rates).log_likelihood()
 
-    result = minimize_scalar(
-        negative_loglik,
-        bounds=(np.log(bounds[0]), np.log(bounds[1])),
-        method="bounded",
-        options={"xatol": 1e-4},
+    x, fx, _nfev = bounded_minimize(
+        negative_loglik, np.log(bounds[0]), np.log(bounds[1]), xatol=1e-4
     )
-    return float(np.exp(result.x)), -float(result.fun)
+    return float(np.exp(x)), -float(fx)
 
 
 def fit_alpha(
@@ -86,13 +82,10 @@ def fit_alpha(
         rates = GammaRates(float(np.exp(log_alpha)), categories)
         return -TreeLikelihood(tree, alignment, model, rates).log_likelihood()
 
-    result = minimize_scalar(
-        negative_loglik,
-        bounds=(np.log(bounds[0]), np.log(bounds[1])),
-        method="bounded",
-        options={"xatol": 1e-4},
+    x, fx, _nfev = bounded_minimize(
+        negative_loglik, np.log(bounds[0]), np.log(bounds[1]), xatol=1e-4
     )
-    return float(np.exp(result.x)), -float(result.fun)
+    return float(np.exp(x)), -float(fx)
 
 
 def fit_hky_gamma(

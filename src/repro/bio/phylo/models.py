@@ -19,9 +19,10 @@ with overall mean exactly 1.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
-from scipy.special import gammainc
-from scipy.stats import gamma as gamma_dist
 
 #: Nucleotide order everywhere: A, C, G, T (matches the DNA alphabet).
 N_STATES = 4
@@ -205,6 +206,143 @@ def model_by_name(name: str, **params) -> SubstitutionModel:
     raise ValueError(f"unknown substitution model {name!r}")
 
 
+# ---------------------------------------------------------------------------
+# The incomplete gamma function and its inverse (for the discrete Gamma)
+# ---------------------------------------------------------------------------
+
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
+#: Newton stops once a step moves the quantile by less than this
+#: (relative); convergence is quadratic, so the returned point is then
+#: as accurate as P(a, x) itself.
+_NEWTON_RTOL = 1e-12
+_NEWTON_MAX_STEPS = 100
+
+
+def _log1pmx(d: float) -> float:
+    """``log(1 + d) - d`` for ``|d| <= 0.5`` without cancellation.
+
+    ``log(1 + d) = 2·atanh(y)`` with ``y = d / (2 + d)``, and
+    ``2y - d = -d·y``; the rest is the atanh series in ``y² <= 1/9``.
+    """
+    y = d / (2.0 + d)
+    y2 = y * y
+    power, total, k = y, 0.0, 3.0
+    while True:
+        power *= y2
+        term = power / k
+        total += term
+        if abs(term) <= _EPS * abs(total):
+            return 2.0 * total - d * y
+        k += 2.0
+
+
+def _stirling_error(a: float) -> float:
+    """``lgamma(a+1) - (a+½)·log(a) + a - ½·log(2π)`` for ``a >= 10``:
+    the Stirling series, truncated below 3e-17."""
+    r = 1.0 / a
+    r2 = r * r
+    return r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * (
+        1 / 1680 - r2 * (1 / 1188 - r2 * (691 / 360360 - r2 / 156))))))
+
+
+def _gamma_prefix(a: float, x: float) -> float:
+    """``x^a · e^-x / Γ(a+1)`` for ``x > 0``.
+
+    Near the mode of a large shape the direct exponent is a difference
+    of terms in the hundreds, which would cost ~1e-13 of relative
+    accuracy; there Stirling's form leaves only small terms.
+    """
+    d = (x - a) / a
+    if a < 10.0 or abs(d) > 0.5:
+        return math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
+    return math.exp(a * _log1pmx(d) - _stirling_error(a)) / math.sqrt(
+        2.0 * math.pi * a
+    )
+
+
+def regularized_gamma_p(a: float, x: float) -> float:
+    """The regularised lower incomplete gamma ``P(a, x)``: the CDF of
+    the standard Gamma(a) distribution at *x*.
+
+    The power series for ``x < a + 1``, else ``1 - Q(a, x)`` with ``Q``
+    from its continued fraction evaluated by the modified Lentz method
+    (Numerical Recipes §6.2).
+    """
+    if a <= 0.0 or math.isnan(x):
+        raise ValueError(f"P(a, x) needs a > 0 and a number x, got a={a}, x={x}")
+    if x <= 0.0:
+        return 0.0
+    if x == math.inf:
+        return 1.0
+    prefix = _gamma_prefix(a, x)
+    if x < a + 1.0:
+        # P = prefix · Σ_n x^n / ((a+1)···(a+n))
+        term = total = 1.0
+        ap = a
+        while term > _EPS * total:
+            ap += 1.0
+            term *= x / ap
+            total += term
+        return prefix * total
+    # Q = prefix · a / (x+1-a - 1·(1-a) / (x+3-a - 2·(2-a) / ...))
+    b = x + 1.0 - a
+    c = 1.0 / _TINY
+    d = 1.0 / b
+    h = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _TINY:
+            d = _TINY
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return 1.0 - prefix * a * h
+
+
+def gamma_quantile(p: float, a: float) -> float:
+    """The *p*-quantile of the standard Gamma(a) distribution: the
+    ``x`` with ``P(a, x) = p``.
+
+    Newton's method on ``P(a, x) - p``, whose derivative is the density
+    ``a · prefix / x``.  Every evaluation narrows a bracket around the
+    root; a step that leaves it (or a density that underflowed) is
+    replaced by bisection, or by doubling while no upper bound is known.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"quantile level must be in (0, 1), got {p}")
+    # P(a, x) <= x^a / Γ(a+1), so for a < 1 this start lies at or below
+    # the root, where the concave CDF makes Newton climb monotonically.
+    x = a if a >= 1.0 else (p * math.gamma(a + 1.0)) ** (1.0 / a)
+    if x == 0.0:
+        return 0.0  # the quantile is below the smallest float
+    lo, hi = 0.0, math.inf
+    for _ in range(_NEWTON_MAX_STEPS):
+        f = regularized_gamma_p(a, x) - p
+        if f == 0.0:
+            return x
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        density = a * _gamma_prefix(a, x) / x
+        step = f / density if density > 0.0 else math.nan
+        if abs(step) <= _NEWTON_RTOL * x:
+            return x - step
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
+    return x
+
+
 class GammaRates:
     """Discrete-Gamma site-rate heterogeneity (Yang 1994).
 
@@ -224,13 +362,12 @@ class GammaRates:
             self.rates = np.ones(1)
         else:
             k = categories
-            cuts = gamma_dist.ppf(np.arange(1, k) / k, alpha, scale=1.0 / alpha)
-            bounds = np.concatenate(([0.0], cuts, [np.inf]))
-            # E[X · 1{X<q}] for Gamma(a, scale s) is a·s·gammainc(a+1, q/s);
+            # Category cuts of Gamma(α, scale 1/α), times α.
+            cuts = [gamma_quantile(i / k, alpha) for i in range(1, k)]
+            # E[X · 1{X<q}] for Gamma(a, scale s) is a·s·P(a+1, q/s);
             # here a·s = 1.
-            upper = gammainc(alpha + 1, bounds[1:] * alpha)
-            lower = gammainc(alpha + 1, bounds[:-1] * alpha)
-            self.rates = (upper - lower) * k
+            cdf = [0.0] + [regularized_gamma_p(alpha + 1.0, c) for c in cuts] + [1.0]
+            self.rates = np.diff(cdf) * k
         self.weights = np.full(self.categories, 1.0 / self.categories)
 
     @classmethod

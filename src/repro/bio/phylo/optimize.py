@@ -1,16 +1,17 @@
 """Branch-length optimisation.
 
-One-dimensional Brent search (via SciPy's bounded scalar minimiser) on
-each branch, exploiting the likelihood cache: changing one branch only
-invalidates the path to the root, so the objective re-evaluates in
-O(depth) node updates.  ``optimize_all_branches`` sweeps branches in
-postorder for a configurable number of passes — the standard
-coordinate-ascent scheme of fastDNAml and PAL.
+One-dimensional bounded Brent search on each branch, exploiting the
+likelihood cache: changing one branch only invalidates the path to the
+root, so the objective re-evaluates in O(depth) node updates.
+``optimize_all_branches`` sweeps branches in postorder for a
+configurable number of passes — the standard coordinate-ascent scheme
+of fastDNAml and PAL.
 """
 
 from __future__ import annotations
 
-from scipy.optimize import minimize_scalar
+import math
+from typing import Callable
 
 from repro.bio.phylo.likelihood import TreeLikelihood
 from repro.bio.phylo.tree import Node
@@ -19,6 +20,102 @@ from repro.bio.phylo.tree import Node
 #: saturation where the likelihood surface is flat.
 MIN_BRANCH = 1e-8
 MAX_BRANCH = 20.0
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _sign(v: float) -> float:
+    """``np.sign(v) + (v == 0)``: +1 for zero, so a step is never null."""
+    return -1.0 if v < 0.0 else 1.0
+
+
+def bounded_minimize(
+    func: Callable[[float], float],
+    lo: float,
+    hi: float,
+    xatol: float = 1e-5,
+    maxiter: int = 500,
+) -> tuple[float, float, int]:
+    """Minimise *func* on ``[lo, hi]``; returns ``(x, fx, nfev)``.
+
+    Brent's bounded method (Forsythe, Malcolm & Moler's ``fminbound``):
+    golden-section steps, parabolic interpolation once three points
+    allow it.  This is an operation-for-operation port of SciPy's
+    ``scipy.optimize._optimize._minimize_scalar_bounded`` (BSD-3-Clause,
+    Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy Developers),
+    so every probe, the returned point and the evaluation count equal
+    ``minimize_scalar(func, bounds=(lo, hi), method="bounded",
+    options={"xatol": xatol, "maxiter": maxiter})`` bit for bit.  As in
+    SciPy, *maxiter* caps function evaluations, checked after each step.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if lo > hi:
+        raise ValueError("The lower bound exceeds the upper bound.")
+    a, b = lo, hi
+    # xf: best point so far; nfc: second best; fulc: the one before.
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = func(xf)
+    nfev = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # Fit a parabola through the three points.
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        nfev += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if nfev >= maxiter:
+            break
+    return xf, fx, nfev
 
 
 def optimize_branch(
@@ -35,14 +132,11 @@ def optimize_branch(
         tl.set_branch_length(node, float(length))
         return -tl.log_likelihood()
 
-    result = minimize_scalar(
-        negative_loglik,
-        bounds=(MIN_BRANCH, MAX_BRANCH),
-        method="bounded",
-        options={"xatol": tol, "maxiter": max_iter},
+    x, _fx, _nfev = bounded_minimize(
+        negative_loglik, MIN_BRANCH, MAX_BRANCH, xatol=tol, maxiter=max_iter
     )
     # Leave the tree at the optimum (the last probe may not be it).
-    tl.set_branch_length(node, float(result.x))
+    tl.set_branch_length(node, float(x))
     return tl.log_likelihood()
 
 

@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 from repro.cluster.local import ServerFacade, make_blob_fetch
+from repro.core.blobs import DEFAULT_CACHE_BYTES
 from repro.core.client import DonorClient
 from repro.core.integrity import IntegrityPolicy
 from repro.core.scheduler import AdaptiveGranularity
@@ -260,7 +261,17 @@ def donor_main(argv: list[str] | None = None) -> int:
              "advertises the count so the server scales lease depth "
              "and unit sizing to it",
     )
+    parser.add_argument(
+        "--cache-mb", type=float, default=DEFAULT_CACHE_BYTES / 2**20,
+        metavar="N",
+        help="byte budget of the shared-blob cache in MiB, per process "
+             "(default %(default)g); a blob larger than this is fetched "
+             "again for every unit that uses it",
+    )
     args = parser.parse_args(argv)
+    cache_bytes = int(args.cache_mb * 2**20)
+    if cache_bytes < 1:
+        parser.error("--cache-mb must be positive")
 
     if args.workers == "auto":
         import os as _os
@@ -311,6 +322,7 @@ def donor_main(argv: list[str] | None = None) -> int:
             blob_fetch=make_blob_fetch(proxy),
             prefetch=args.prefetch,
             workers=workers,
+            cache_bytes=cache_bytes,
         )
         print(
             f"donor {donor_id} connected to {host}:{port}"

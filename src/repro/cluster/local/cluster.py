@@ -105,22 +105,20 @@ class ServerFacade:
         and the LSN it records describe the same quiescent state, then
         rotates and compacts the journal segments the checkpoint
         covers.  Returns the covered LSN.
-        """
-        from pathlib import Path
 
-        from repro.core.checkpoint import dumps_checkpoint
+        Compaction waits until the checkpoint is durable under its
+        final name, so a power cut never leaves the covered segments
+        deleted without the checkpoint that replaces them.
+        """
+        from repro.core.checkpoint import save_checkpoint
         from repro.core.journal import compact
 
         with self._lock:
             writer = self._server.journal
             lsn = writer.last_lsn if writer is not None else 0
-            data = dumps_checkpoint(
-                self._server, self._now(), journal_lsn=lsn, gateway=self._gateway
+            save_checkpoint(
+                self._server, path, self._now(), journal_lsn=lsn, gateway=self._gateway
             )
-            path = Path(path)
-            tmp = path.with_suffix(path.suffix + ".tmp")
-            tmp.write_bytes(data)
-            tmp.replace(path)
             if writer is not None:
                 writer.rotate()
                 compact(writer.store, lsn)

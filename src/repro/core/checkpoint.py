@@ -31,12 +31,14 @@ header and version so a stale or foreign file fails loudly.
 
 from __future__ import annotations
 
+import os
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro.core.integrity import DonorReputation, _UnitIntegrity
+from repro.core.journal import fsync_dir
 from repro.core.server import ProblemStatus, TaskFarmServer, _ProblemState
 from repro.core.workunit import WorkUnit
 
@@ -130,12 +132,29 @@ def dumps_checkpoint(
     return MAGIC + pickle.dumps(blob, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def save_checkpoint(server: TaskFarmServer, path: str | Path, now: float) -> None:
-    """Write the server's problem state to *path* atomically."""
+def save_checkpoint(
+    server: TaskFarmServer,
+    path: str | Path,
+    now: float,
+    journal_lsn: int = 0,
+    gateway=None,
+) -> None:
+    """Write the server's problem state to *path* atomically and
+    durably (arguments as for :func:`dumps_checkpoint`).
+
+    The bytes are fsynced under a temporary name, renamed into place
+    and the rename made durable by a directory fsync, so once this
+    returns a power cut leaves either this checkpoint or none — and the
+    journal segments it covers may be deleted.
+    """
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(dumps_checkpoint(server, now))
+    with open(tmp, "wb") as fh:
+        fh.write(dumps_checkpoint(server, now, journal_lsn, gateway))
+        fh.flush()
+        os.fsync(fh.fileno())
     tmp.replace(path)
+    fsync_dir(path.parent)
 
 
 def parse_checkpoint(raw: bytes, origin: str = "checkpoint") -> CheckpointBlob:

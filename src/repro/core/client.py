@@ -161,11 +161,13 @@ def _worker_watchdog(parent_pid: float) -> None:
         time.sleep(0.25)
 
 
-def _pool_init(seed_items: list[tuple[str, str, bytes]], parent_pid: int) -> None:
+def _pool_init(
+    seed_items: list[tuple[str, str, bytes]], parent_pid: int, cache_bytes: int
+) -> None:
     """Per-worker initializer: warm caches once per *process*, not per unit."""
     global _WORKER_BLOBS
     if _WORKER_BLOBS is None:
-        _WORKER_BLOBS = BlobCache(DEFAULT_CACHE_BYTES)
+        _WORKER_BLOBS = BlobCache(cache_bytes)
     for kind, key, data in seed_items:
         _worker_install(kind, key, data)
     threading.Thread(
@@ -221,7 +223,8 @@ class WorkerPool:
 
     ``seed_items`` are installed once per worker process by the
     initializer (algorithm + the first unit's shared blobs); anything
-    discovered later rides along with individual tasks.  The spawn start
+    discovered later rides along with individual tasks.  Each worker's
+    blob cache holds at most ``cache_bytes``.  The spawn start
     method is mandatory: donors embed in arbitrary hosts (threads, RMI
     sockets, numpy state) and a forked child inheriting that mid-flight
     state is exactly the kind of heisenbug this farm cannot debug
@@ -232,6 +235,7 @@ class WorkerPool:
         self,
         workers: int,
         seed_items: list[tuple[str, str, bytes]] | None = None,
+        cache_bytes: int = DEFAULT_CACHE_BYTES,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -241,7 +245,7 @@ class WorkerPool:
         self._pool = multiprocessing.get_context("spawn").Pool(
             processes=workers,
             initializer=_pool_init,
-            initargs=(seed, os.getpid()),
+            initargs=(seed, os.getpid(), cache_bytes),
         )
         self._closed = False
 
@@ -330,7 +334,8 @@ class DonorClient:
         longer than the server's lease timeout (slow donor, big unit)
         is not torn away from a donor that is still making progress.
     cache_bytes:
-        Byte budget of the shared-blob cache (LRU, content-addressed).
+        Byte budget of the shared-blob cache (LRU, content-addressed);
+        every worker of a pool this client builds gets the same budget.
     blob_fetch:
         Transport for cache misses: ``(problem_id, ref) -> bytes``.
         Defaults to the server port's ``get_shared_blob``; the live
@@ -706,7 +711,9 @@ class DonorClient:
         """
         if self._pool is None:
             self._pool = WorkerPool(
-                self.workers, seed_items=self._pool_items(assignment)
+                self.workers,
+                seed_items=self._pool_items(assignment),
+                cache_bytes=self.blob_cache.budget_bytes,
             )
             self._pool_owned = True
             self._meter("farm.pool.workers", self.workers)

@@ -125,8 +125,23 @@ class MemoryStore:
         self._segments.pop(name, None)
 
 
+def fsync_dir(path: str | Path) -> None:
+    """fsync a directory, making the names created, renamed or removed
+    in it durable: a file's own fsync does not cover its directory
+    entry, so without this a power cut can undo a create or a delete."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class DirStore:
-    """Filesystem segment store: one file per segment under *root*."""
+    """Filesystem segment store: one file per segment under *root*.
+
+    Creating and deleting a segment fsync the directory, so the set of
+    segment names survives a power cut and not only a killed process.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -142,6 +157,7 @@ class DirStore:
     def create(self, name: str) -> None:
         self._release(name)
         self._open[name] = open(self.root / name, "wb")
+        fsync_dir(self.root)
 
     def append(self, name: str, data: bytes) -> None:
         handle = self._open.get(name)
@@ -163,6 +179,7 @@ class DirStore:
     def delete(self, name: str) -> None:
         self._release(name)
         (self.root / name).unlink(missing_ok=True)
+        fsync_dir(self.root)
 
     def close(self) -> None:
         for name in list(self._open):

@@ -157,7 +157,7 @@ class TestFarmCLI:
             substitution_rate=0.1,
         )
 
-        def deploy_and_run(share: bool):
+        def deploy_and_run(share: bool, *donor_args: str):
             server = TaskFarmServer(
                 policy=FixedGranularity(3), lease_timeout=60.0
             )
@@ -175,7 +175,7 @@ class TestFarmCLI:
             try:
                 code = donor_main(
                     [f"{rmi.host}:{rmi.port}", "--name", "blob-donor",
-                     "--idle-sleep", "0.01"]
+                     "--idle-sleep", "0.01", *donor_args]
                 )
                 assert code == 0
                 result = facade.final_result(pid)
@@ -192,9 +192,21 @@ class TestFarmCLI:
         assert counters["net.blob.published"] > 0
         # The blobs travelled over the bulk channel, not RMI.
         assert counters["data.transfers.out"] > 0
+        assert counters.get("farm.cache.bypass", 0) == 0
+
+        # --cache-mb below the ~3 KB database blob (but above the query
+        # blob): same result, and the database bypasses the cache on
+        # each of the 4 units.
+        small_digest, small_snap = deploy_and_run(True, "--cache-mb", "0.001")
+        assert small_digest == plain_digest
+        assert small_snap["counters"]["farm.cache.bypass"] == 4
 
     def test_donor_bad_address(self):
         with pytest.raises(SystemExit):
             donor_main(["localhost"])  # missing port
         with pytest.raises(SystemExit):
             donor_main(["localhost:notaport"])
+
+    def test_donor_rejects_nonpositive_cache(self):
+        with pytest.raises(SystemExit):
+            donor_main(["localhost:1", "--cache-mb", "0"])

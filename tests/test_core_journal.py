@@ -7,7 +7,10 @@ internally consistent server that can still be driven to the correct
 final result — a torn tail is always a valid shorter history.
 """
 
+import os
 import pickle
+import stat
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -213,6 +216,83 @@ class TestFraming:
         disk_records, disk_next, disk_torn = read_journal(disk)
         assert mem_records == disk_records
         assert (mem_next, mem_torn) == (disk_next, disk_torn)
+
+
+class TestPowerLossOrder:
+    """A power cut keeps only what was fsynced, names included: the
+    checkpoint must be durable under its final name before compaction
+    deletes the segments it replaces, and every segment create/delete
+    syncs the directory."""
+
+    @staticmethod
+    def record_fs_calls(monkeypatch, names: dict) -> list:
+        """Log os.fsync / os.replace / os.unlink in call order; an fsync
+        is labelled by the directory it syncs (*names*: inode -> label)
+        or as "file"."""
+        calls = []
+        real_fsync, real_replace, real_unlink = os.fsync, os.replace, os.unlink
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            label = names.get(st.st_ino, "?") if stat.S_ISDIR(st.st_mode) else "file"
+            calls.append(("fsync", label))
+            return real_fsync(fd)
+
+        def replace(src, dst, **kw):
+            calls.append(("replace", Path(src).name, Path(dst).name))
+            return real_replace(src, dst, **kw)
+
+        def unlink(path, **kw):
+            calls.append(("unlink", Path(path).name))
+            return real_unlink(path, **kw)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "unlink", unlink)
+        return calls
+
+    def test_checkpoint_is_durable_before_compaction(self, tmp_path, monkeypatch):
+        from repro.cluster.local import ServerFacade
+
+        wal, ckpt_dir = tmp_path / "wal", tmp_path / "ckpt"
+        ckpt_dir.mkdir()
+        server = make_server()
+        server.journal = JournalWriter(
+            DirStore(wal), segment_bytes=200, meters=server.obs.meters
+        )
+        pid = server.submit(
+            Problem("sum", RangeSumDataManager(100), RangeSumAlgorithm()), 0.0
+        )
+        server.register_donor("d0", 0.0)
+        t = 0.0
+        for _ in range(3):
+            a = server.request_work("d0", (t := t + 0.1))
+            server.submit_result(compute(a), (t := t + 0.1))
+        segments = server.journal.store.names()
+        assert len(segments) >= 3
+
+        calls = self.record_fs_calls(
+            monkeypatch,
+            {os.stat(wal).st_ino: "wal-dir", os.stat(ckpt_dir).st_ino: "ckpt-dir"},
+        )
+        ServerFacade(server).checkpoint_to(ckpt_dir / "checkpoint.tfck")
+        # The last segment stays as the tail; the rest are covered.
+        compacted = [("unlink", name) for name in segments[:-1]]
+        assert calls == [
+            ("fsync", "file"),
+            ("replace", "checkpoint.tfck.tmp", "checkpoint.tfck"),
+            ("fsync", "ckpt-dir"),
+        ] + [c for name in compacted for c in (name, ("fsync", "wal-dir"))]
+
+        # The next record opens a fresh segment: its name is synced
+        # before its header and the record itself.
+        calls.clear()
+        server.register_donor("d1", t + 0.1)
+        assert calls == [("fsync", "wal-dir"), ("fsync", "file"), ("fsync", "file")]
+        # farm.journal.fsyncs counts record syncs only: one per record.
+        counters = server.obs.meters.snapshot()["counters"]
+        assert counters["farm.journal.fsyncs"] == counters["farm.journal.records"]
+        assert server.status(pid) is ProblemStatus.RUNNING
 
 
 class TestCheckpointV4:

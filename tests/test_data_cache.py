@@ -17,6 +17,7 @@ lifecycle on the data channel.
 
 import pickle
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.bio.seq.generate import random_sequence, seeded_database
 from repro.cluster.sim import SimCluster, heterogeneous_pool, homogeneous_pool
 from repro.cluster.sim.network import NetworkConfig
 from repro.core.blobs import (
+    DEFAULT_CACHE_BYTES,
     BlobCache,
     BlobRef,
     blob_key,
@@ -43,8 +45,10 @@ from repro.core.blobs import (
     payload_nbytes,
     resolve_payload,
 )
+from repro.core.client import DonorClient, InProcessServerPort
 from repro.core.integrity import canonical_digest
 from repro.core.scheduler import FixedGranularity
+from repro.core.server import TaskFarmServer
 from repro.obs.meters import MeterRegistry
 from repro.rmi.datachannel import DataChannelServer, fetch_data
 from repro.rmi.errors import ChecksumError
@@ -193,6 +197,56 @@ class TestSimByteAccounting:
         # Charged wire bytes reconcile: farm.bytes.in is all inline
         # envelopes plus the first-delivery blob content.
         assert cached["farm.bytes.in"] > cached["net.blob.bytes"]
+
+
+# ---------------------------------------------------------------------------
+# Live donors under a cache budget: exact fetch counts
+
+
+def _run_counting_fetches(cache_bytes: int, donors: int = 2):
+    """DSEARCH on in-process donors; returns (fetches per blob key,
+    units computed)."""
+    server = TaskFarmServer(policy=FixedGranularity(2), lease_timeout=600.0)
+    server.submit(dsearch_problem(3, share=True), 0.0)
+    port = InProcessServerPort(server)
+    fetches: Counter = Counter()
+
+    def fetch(problem_id, ref):
+        fetches[ref.key] += 1
+        return port.get_shared_blob(problem_id, ref.key)
+
+    clients = [
+        DonorClient(f"d{i}", port, cache_bytes=cache_bytes, blob_fetch=fetch)
+        for i in range(donors)
+    ]
+    for client in clients:
+        port.register_donor(client.donor_id)
+    while not server.all_complete():
+        for client in clients:
+            client.step()
+    return fetches, sum(client.units_done for client in clients)
+
+
+class TestCacheBudget:
+    """Blob refs are content-addressed, so a freshly built problem names
+    the same blobs the run fetched."""
+
+    refs = dsearch_problem(3, share=True).data_manager
+
+    def test_database_over_budget_is_fetched_every_unit(self):
+        # Pins today's cost of an over-budget database: it bypasses the
+        # cache, so every unit downloads all of it again.
+        queries, database = self.refs._queries_ref, self.refs._database_ref
+        assert queries.size < database.size
+        fetches, units = _run_counting_fetches(database.size - 1)
+        assert units == 7  # 14 sequences, 2 per unit
+        assert fetches == {database.key: units, queries.key: 2}
+
+    def test_default_budget_fetches_each_blob_once_per_donor(self):
+        queries, database = self.refs._queries_ref, self.refs._database_ref
+        fetches, units = _run_counting_fetches(DEFAULT_CACHE_BYTES)
+        assert units == 7
+        assert fetches == {database.key: 2, queries.key: 2}
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,20 @@ class TestPooledDonor:
         assert server.final_result(pid) == 50 * 49 // 2
         assert len(shared_pool.worker_pids()) == 2
 
+    def test_pool_workers_honour_the_cache_budget(self):
+        """The client's cache budget reaches its own pool's workers: a
+        database over budget bypasses the worker cache on every unit."""
+        problem = dsearch_problem(3, share=True)
+        budget = problem.data_manager._database_ref.size - 1
+        server = TaskFarmServer(policy=FixedGranularity(2), lease_timeout=60.0)
+        server.submit(problem, 0.0)
+        client = DonorClient(
+            "budgeted", InProcessServerPort(server), workers=2, cache_bytes=budget
+        )
+        assert client.run() == 7
+        counters = server.obs.meters.snapshot()["counters"]
+        assert counters["farm.cache.bypass"] == 7
+
 
 class TestCapacityScheduling:
     def test_registration_advertises_slots(self):

@@ -33,7 +33,9 @@ SEED = 5
 
 
 def _job_trace(tenant: str, index: int) -> WorkloadTrace:
-    rng = random.Random(hash((tenant, index)) & 0xFFFF)
+    # A string seed hashes the same in every process; hash() of a str
+    # varies with PYTHONHASHSEED.
+    rng = random.Random(f"{tenant}-{index}")
     costs = [rng.uniform(0.4, 0.6) for _ in range(ITEMS_PER_JOB)]
     return WorkloadTrace.single_stage(
         costs, bytes_per_item=2_000, name=f"bench-gw-{tenant}-{index}"

@@ -18,7 +18,7 @@ import time
 from typing import Any
 
 from repro.core.blobs import BlobRef, iter_blob_refs
-from repro.core.client import DonorClient, InProcessServerPort
+from repro.core.client import DonorClient
 from repro.core.problem import Algorithm, Problem
 from repro.core.scheduler import GranularityPolicy
 from repro.core.server import (
@@ -322,10 +322,11 @@ class ServerFacade:
 
 
 class ThreadCluster:
-    """Donors as threads against an in-process server.
+    """Donors as threads against an in-process server, each driving it
+    through the one locked :class:`ServerFacade`.
 
-    With ``prefetch=True`` every donor runs the pipelined double-buffer
-    loop; pass a matching ``pipeline``
+    With ``prefetch=True`` every donor keeps a window of two units in
+    flight; pass a matching ``pipeline``
     (:meth:`~repro.core.server.PipelineConfig.pipelined` when omitted)
     so the server leases each donor the extra in-flight unit.
 
@@ -352,7 +353,7 @@ class ThreadCluster:
         self.server = TaskFarmServer(
             policy=policy, lease_timeout=lease_timeout, pipeline=pipeline
         )
-        self._facade_lock = threading.RLock()
+        self.facade = ServerFacade(self.server)
         self.workers = workers
         self.idle_sleep = idle_sleep
         self.prefetch = prefetch
@@ -361,16 +362,14 @@ class ThreadCluster:
         self._threads: list[threading.Thread] = []
 
     def submit(self, problem: Problem) -> int:
-        with self._facade_lock:
-            return self.server.submit(problem, time.monotonic())
+        return self.facade.submit(problem)
 
     def run(self) -> None:
         """Run donors until every submitted problem completes."""
-        port = _LockedPort(self.server, self._facade_lock)
         clients = [
             DonorClient(
                 f"thread-{i}",
-                port,
+                self.facade,
                 idle_sleep=self.idle_sleep,
                 prefetch=self.prefetch,
                 workers=self.pool_workers,
@@ -388,52 +387,6 @@ class ThreadCluster:
 
     def final_result(self, problem_id: int) -> Any:
         return self.server.final_result(problem_id)
-
-
-class _LockedPort(InProcessServerPort):
-    """An :class:`InProcessServerPort` made thread-safe with one lock."""
-
-    def __init__(self, server: TaskFarmServer, lock: threading.RLock):
-        super().__init__(server)
-        self._lock = lock
-
-    def register_donor(self, donor_id: str, slots: int = 1) -> None:
-        with self._lock:
-            super().register_donor(donor_id, slots)
-
-    def deregister_donor(self, donor_id: str) -> None:
-        with self._lock:
-            super().deregister_donor(donor_id)
-
-    def request_work(self, donor_id: str):
-        with self._lock:
-            return super().request_work(donor_id)
-
-    def submit_result(self, result: WorkResult) -> bool:
-        with self._lock:
-            return super().submit_result(result)
-
-    def report_failure(
-        self, problem_id: int, unit_id: int, donor_id: str, error: str
-    ) -> None:
-        with self._lock:
-            super().report_failure(problem_id, unit_id, donor_id, error)
-
-    def heartbeat(self, donor_id: str) -> None:
-        with self._lock:
-            super().heartbeat(donor_id)
-
-    def get_algorithm(self, problem_id: int) -> Algorithm:
-        with self._lock:
-            return super().get_algorithm(problem_id)
-
-    def get_shared_blob(self, problem_id: int, key: str) -> bytes:
-        with self._lock:
-            return super().get_shared_blob(problem_id, key)
-
-    def all_complete(self) -> bool:
-        with self._lock:
-            return super().all_complete()
 
 
 def make_blob_fetch(proxy):

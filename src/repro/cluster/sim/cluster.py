@@ -403,77 +403,31 @@ class SimCluster:
     def _spawn_session(
         self, spec: MachineSpec, session_end: float, session_index: int
     ) -> Process:
-        """The donor protocol for one session: serial, pipelined, or
-        (for ``cores > 1``) a pool of parallel lanes."""
-        if spec.cores > 1:
-            return self._machine_process_multicore(spec, session_end, session_index)
-        if self.pipeline is not None:
-            return self._machine_process_pipelined(spec, session_end, session_index)
-        return self._machine_process(spec, session_end, session_index)
+        """One donor session: register, run ``cores`` lanes, deregister.
 
-    def _machine_process(
-        self, spec: MachineSpec, session_end: float, session_index: int
-    ) -> Process:
-        """One donor session: register, pull work until done or gone.
-
-        ``self.server`` is read dynamically throughout — a chaos
-        restart swaps the server object out from under running donors,
-        exactly as a live restart does.
+        The machine registers *once*, advertising ``slots=cores``; a
+        single-core machine runs its one lane inline.  ``self.server``
+        is read dynamically throughout — a chaos restart swaps the
+        server object out from under running donors, exactly as a live
+        restart does.
         """
         sim = self.sim
-        rng = spawn_rng(self.seed, "machine", spec.machine_id, session_index)
-        chaos_rng = (
-            self.chaos.rng_for(spec.machine_id, session_index)
-            if self.chaos is not None
-            else None
-        )
         donor_id = spec.machine_id
-
-        self.server.register_donor(donor_id, sim.now)
+        self.server.register_donor(donor_id, sim.now, slots=spec.cores)
         self._active_session[donor_id] = session_index
         try:
-            while True:
-                if sim.now >= session_end or self._all_done():
-                    return
-                # Control round trip: ask the server for work.
-                yield from self.network.control_roundtrip()
-                if sim.now >= session_end:
-                    return
-                try:
-                    assignment = self.server.request_work(donor_id, sim.now)
-                except KeyError:
-                    # A restarted server forgot us: re-register and
-                    # retry, as the live ReconnectingPort's
-                    # on_reconnect hook does.
-                    self.server.register_donor(donor_id, sim.now)
-                    self._active_session[donor_id] = session_index
-                    continue
-                if assignment is None:
-                    if self._all_done():
-                        return
-                    yield Timeout(self.idle_poll)
-                    continue
-                finished = yield from self._execute_assignment(
-                    spec, donor_id, assignment, rng, chaos_rng, session_end
-                )
-                if not finished:
-                    return  # left the pool mid-compute
-                if (
-                    self.chaos is not None
-                    and chaos_rng.random() < self.chaos.crash_rate
-                ):
-                    # Hard crash: no deregistration (the lease must
-                    # expire on its own), back after the downtime as a
-                    # fresh session.
-                    self._chaos_sessions += 1
-                    self.sim.spawn(
-                        self._spawn_session(
-                            spec, session_end, self._chaos_sessions
-                        ),
-                        delay=self.chaos.crash_downtime,
+            if spec.cores == 1:
+                yield from self._lane_process(spec, session_end, session_index)
+            else:
+                lanes = [SimEvent(sim) for _ in range(spec.cores)]
+                for lane, done in enumerate(lanes):
+                    sim.spawn(
+                        self._lane_process(
+                            spec, session_end, session_index, lane, done
+                        )
                     )
-                    self._active_session.pop(donor_id, None)
-                    return
+                for done in lanes:
+                    yield WaitEvent(done)
         finally:
             # Leaving (or completing) deregisters; the server requeues
             # anything this donor still held.  Guard against a later
@@ -530,23 +484,6 @@ class SimCluster:
             return assignment.payload
         return resolve_payload(assignment.payload, lambda ref: objects[ref.key])
 
-    def _execute_assignment(
-        self,
-        spec: MachineSpec,
-        donor_id: str,
-        assignment: Assignment,
-        rng,
-        chaos_rng,
-        session_end: float,
-    ) -> Process:
-        """Download, compute, upload.  Returns False if the machine's
-        session ended mid-compute (the unit is abandoned)."""
-        payload = yield from self._download_unit(donor_id, assignment)
-        finished = yield from self._compute_and_upload(
-            spec, donor_id, assignment, payload, rng, chaos_rng, session_end
-        )
-        return finished
-
     def _compute_and_upload(
         self,
         spec: MachineSpec,
@@ -558,11 +495,7 @@ class SimCluster:
         session_end: float,
     ) -> Process:
         """Compute an already-downloaded unit and upload the result.
-        Returns False if the session ended mid-compute (unit abandoned).
-
-        Split out of :meth:`_execute_assignment` so the pipelined
-        protocol can run it on a payload a forked prefetch process
-        downloaded earlier."""
+        Returns False if the session ended mid-compute (unit abandoned)."""
         sim = self.sim
         algorithm = self.server.get_algorithm(assignment.problem_id)
         cost = assignment.cost_hint or algorithm.cost(payload)
@@ -653,25 +586,28 @@ class SimCluster:
         self._machine_units[donor_id] += 1
         return True
 
-    # -- the pipelined donor protocol -----------------------------------
-
     def _fetch_assignment(
-        self, donor_id: str, session_index: int, slots: int = 1
+        self, spec: MachineSpec, session_end: float, session_index: int
     ) -> Process:
         """Control round trip + request + download, as one step.
 
-        Returns ``(assignment, payload)``; ``(None, None)`` when the
-        server was idle or forgot us (a chaos restart — we re-register
-        and let the caller retry).
+        Returns ``(assignment, payload)``, or ``(None, None)`` when the
+        server was idle.  Returns ``None`` when the caller should go
+        round again at once: the session ended during the round trip,
+        or a restarted server forgot us — re-registered here, as the
+        live ReconnectingPort's on_reconnect hook does.
         """
         sim = self.sim
+        donor_id = spec.machine_id
         yield from self.network.control_roundtrip()
+        if sim.now >= session_end:
+            return None
         try:
             assignment = self.server.request_work(donor_id, sim.now)
         except KeyError:
-            self.server.register_donor(donor_id, sim.now, slots=slots)
+            self.server.register_donor(donor_id, sim.now, slots=spec.cores)
             self._active_session[donor_id] = session_index
-            return None, None
+            return None
         if assignment is None:
             return None, None
         payload = yield from self._download_unit(donor_id, assignment)
@@ -710,152 +646,36 @@ class SimCluster:
         finally:
             event.fire()
 
-    def _machine_process_pipelined(
-        self, spec: MachineSpec, session_end: float, session_index: int
-    ) -> Process:
-        """One donor session under the pipelined protocol.
-
-        Identical to :meth:`_machine_process` except that while unit N
-        computes, a forked :meth:`_prefetch_process` downloads unit
-        N+1; joining an already-fired prefetch is a *hit* (compute
-        never stalled), otherwise the wait is metered as donor idle
-        gap.  Leases a consumed-too-late session leaves behind are
-        requeued by deregistration or lease expiry, exactly as for the
-        serial protocol.
-        """
-        sim = self.sim
-        meters = self.obs.meters
-        rng = spawn_rng(self.seed, "machine", spec.machine_id, session_index)
-        chaos_rng = (
-            self.chaos.rng_for(spec.machine_id, session_index)
-            if self.chaos is not None
-            else None
-        )
-        donor_id = spec.machine_id
-
-        self.server.register_donor(donor_id, sim.now)
-        self._active_session[donor_id] = session_index
-        slot: tuple[list, SimEvent] | None = None
-        try:
-            while True:
-                if sim.now >= session_end or self._all_done():
-                    return
-                if slot is not None:
-                    box, event = slot
-                    slot = None
-                    if event.fired:
-                        meters.counter("farm.pipeline.prefetch.hits").inc()
-                    else:
-                        start = sim.now
-                        yield WaitEvent(event)
-                        gap = sim.now - start
-                        meters.counter("farm.pipeline.prefetch.misses").inc()
-                        if gap > 0:
-                            meters.counter(
-                                "farm.pipeline.idle.gap.seconds"
-                            ).inc(gap)
-                    assignment, payload = box[0]
-                else:
-                    # Cold start / post-idle: synchronous fetch.
-                    meters.counter("farm.pipeline.prefetch.misses").inc()
-                    assignment, payload = yield from self._fetch_assignment(
-                        donor_id, session_index
-                    )
-                if assignment is None:
-                    if self._all_done():
-                        return
-                    yield Timeout(self.idle_poll)
-                    continue
-                # Fork the download of the next unit, then compute this
-                # one — the overlap the whole pipeline exists for.
-                box = [(None, None)]
-                event = SimEvent(sim)
-                sim.spawn(
-                    self._prefetch_process(donor_id, session_index, box, event)
-                )
-                slot = (box, event)
-                finished = yield from self._compute_and_upload(
-                    spec, donor_id, assignment, payload, rng, chaos_rng, session_end
-                )
-                if not finished:
-                    return  # left the pool mid-compute
-                if (
-                    self.chaos is not None
-                    and chaos_rng.random() < self.chaos.crash_rate
-                ):
-                    self._chaos_sessions += 1
-                    self.sim.spawn(
-                        self._spawn_session(
-                            spec, session_end, self._chaos_sessions
-                        ),
-                        delay=self.chaos.crash_downtime,
-                    )
-                    self._active_session.pop(donor_id, None)
-                    return
-        finally:
-            if self._active_session.get(donor_id) == session_index:
-                self.server.deregister_donor(donor_id, sim.now)
-                del self._active_session[donor_id]
-
-    # -- the multi-core donor protocol -----------------------------------
-
-    def _machine_process_multicore(
-        self, spec: MachineSpec, session_end: float, session_index: int
-    ) -> Process:
-        """One session of a ``cores > 1`` machine: parallel lanes.
-
-        The virtual-time mirror of the live worker pool: the machine
-        registers *once*, advertising ``slots=cores``, then runs one
-        lane process per core, each independently pulling, downloading
-        and computing units (downloads still serialize through the
-        shared link, like lanes sharing one NIC).  The session
-        deregisters when its last lane returns; a chaos crash in any
-        lane takes the whole machine down, exactly as a host crash
-        kills every pool worker at once.
-        """
-        sim = self.sim
-        donor_id = spec.machine_id
-        self.server.register_donor(donor_id, sim.now, slots=spec.cores)
-        self._active_session[donor_id] = session_index
-        lane_done: list[SimEvent] = []
-        for lane in range(spec.cores):
-            event = SimEvent(sim)
-            lane_done.append(event)
-            sim.spawn(
-                self._lane_process(spec, session_end, session_index, lane, event)
-            )
-        for event in lane_done:
-            yield WaitEvent(event)
-        if self._active_session.get(donor_id) == session_index:
-            self.server.deregister_donor(donor_id, sim.now)
-            del self._active_session[donor_id]
-
     def _lane_process(
         self,
         spec: MachineSpec,
         session_end: float,
         session_index: int,
-        lane: int,
-        done_event: SimEvent,
+        lane: int | None = None,
+        done: SimEvent | None = None,
     ) -> Process:
-        """One compute lane (core) of a multi-core donor session.
+        """One compute lane (core) of a donor session: the protocol loop.
 
-        Runs the serial pull protocol — or, when the cluster is
-        pipelined, the double-buffered one — against the *shared*
-        donor registration.  Every lane's leases count against the one
-        donor, whose depth gate the server already scaled by ``slots``
-        (:meth:`~repro.core.server.PipelineConfig.depth_for`).  A lane
-        observing that its session is no longer current (crash or
-        replacement) exits quietly without touching the registration.
+        When the cluster is pipelined, a forked :meth:`_prefetch_process`
+        downloads unit N+1 while unit N computes; joining an
+        already-fired prefetch is a *hit* (compute never stalled),
+        otherwise the wait is metered as donor idle gap.  Every lane's
+        leases count against the one donor registration, whose depth
+        gate the server scaled by ``slots``
+        (:meth:`~repro.core.server.PipelineConfig.depth_for`).  The
+        lanes of a multi-core machine draw rng/chaos streams keyed with
+        ``"lane"``; the inline lane of a single-core machine
+        (``lane=None``) keeps the un-laned keys, so its schedules replay
+        byte-identically.  A lane observing that its session is no
+        longer current (crash or replacement) exits quietly.
         """
         sim = self.sim
         meters = self.obs.meters
         donor_id = spec.machine_id
-        rng = spawn_rng(
-            self.seed, "machine", spec.machine_id, session_index, "lane", lane
-        )
+        key = () if lane is None else ("lane", lane)
+        rng = spawn_rng(self.seed, "machine", donor_id, session_index, *key)
         chaos_rng = (
-            self.chaos.rng_for(spec.machine_id, session_index, "lane", lane)
+            self.chaos.rng_for(donor_id, session_index, *key)
             if self.chaos is not None
             else None
         )
@@ -881,19 +701,24 @@ class SimCluster:
                             meters.counter(
                                 "farm.pipeline.idle.gap.seconds"
                             ).inc(gap)
-                    assignment, payload = box[0]
+                    fetched = box[0]
                 else:
                     if pipelined:
                         meters.counter("farm.pipeline.prefetch.misses").inc()
-                    assignment, payload = yield from self._fetch_assignment(
-                        donor_id, session_index, slots=spec.cores
+                    fetched = yield from self._fetch_assignment(
+                        spec, session_end, session_index
                     )
+                    if fetched is None:
+                        continue
+                assignment, payload = fetched
                 if assignment is None:
                     if self._all_done():
                         return
                     yield Timeout(self.idle_poll)
                     continue
                 if pipelined:
+                    # Fork the download of the next unit, then compute
+                    # this one — the overlap the pipeline exists for.
                     box = [(None, None)]
                     event = SimEvent(sim)
                     sim.spawn(
@@ -912,9 +737,11 @@ class SimCluster:
                     and chaos_rng.random() < self.chaos.crash_rate
                     and self._active_session.get(donor_id) == session_index
                 ):
-                    # Hard host crash: every lane dies with the machine.
-                    # This lane schedules the whole-machine respawn; the
-                    # currency check above stops sibling lanes.
+                    # Hard host crash: no deregistration (the leases
+                    # must expire on their own), every lane dies with
+                    # the machine — the currency check above stops the
+                    # siblings — and it is back after the downtime as a
+                    # fresh session.
                     self._chaos_sessions += 1
                     self.sim.spawn(
                         self._spawn_session(
@@ -925,4 +752,5 @@ class SimCluster:
                     self._active_session.pop(donor_id, None)
                     return
         finally:
-            done_event.fire()
+            if done is not None:
+                done.fire()

@@ -22,6 +22,7 @@ import queue
 import random
 import threading
 import time
+from multiprocessing.pool import ThreadPool
 from typing import Any, Callable, Protocol
 
 from repro.core.blobs import (
@@ -182,24 +183,18 @@ def _missing_blob(ref: BlobRef) -> bytes:
     return data
 
 
-def _pool_run(
-    task: tuple[str, Any, tuple[tuple[str, str, bytes], ...]],
+def _timed_compute(
+    algo: Algorithm, resolve: Callable[[], Any]
 ) -> tuple[Any, float, float, dict[str, float], int]:
-    """Compute one unit inside a worker process.
+    """Compute one unit off the donor's loop thread.
 
     Returns ``(value, elapsed, started_at, unit_meters, output_bytes)``;
     ``started_at`` is ``time.monotonic()`` (system-wide on Linux), which
-    lets the parent meter how long the task waited in the pool queue.
+    lets the loop meter how long the task waited for its compute slot.
     """
-    algo_key, payload, carry = task
-    for kind, key, data in carry:
-        _worker_install(kind, key, data)
-    algo = _WORKER_ALGOS[algo_key]
-    assert _WORKER_BLOBS is not None
     started = time.monotonic()
     with unitstats.collect() as stats:
-        resolved = fetch_and_resolve(payload, _WORKER_BLOBS, _missing_blob)
-        value = algo.compute(resolved)
+        value = algo.compute(resolve())
     elapsed = time.monotonic() - started
     try:
         output_bytes = len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
@@ -208,6 +203,20 @@ def _pool_run(
         # the accounting best-effort so that error is the one reported.
         output_bytes = 0
     return value, elapsed, started, dict(stats), output_bytes
+
+
+def _pool_run(
+    task: tuple[str, Any, tuple[tuple[str, str, bytes], ...]],
+) -> tuple[Any, float, float, dict[str, float], int]:
+    """Compute one unit inside a worker process."""
+    algo_key, payload, carry = task
+    for kind, key, data in carry:
+        _worker_install(kind, key, data)
+    assert _WORKER_BLOBS is not None
+    return _timed_compute(
+        _WORKER_ALGOS[algo_key],
+        lambda: fetch_and_resolve(payload, _WORKER_BLOBS, _missing_blob),
+    )
 
 
 class WorkerPool:
@@ -307,21 +316,20 @@ class DonorClient:
         when one is set (an idle donor then polls at least as often as
         a busy one heartbeats), else ``idle_sleep * 16``.
     prefetch:
-        Enable the pipelined runtime: while unit N computes, a
-        background thread requests unit N+1 and warms its algorithm and
-        shared blobs, so compute never waits on the wire.  Requires a
-        thread-safe port (the RMI proxy and the cluster's locked
-        in-process port both are) and a server with
-        ``PipelineConfig.lease_depth >= 2``.
+        Widen the loop's window to two units: one computes on a compute
+        thread while the loop requests the next and resolves its
+        algorithm and shared blobs, so compute never waits on the wire.
+        Every port call stays on the loop's thread.  Needs a server
+        with ``PipelineConfig.lease_depth >= 2``.
     workers:
-        Parallel compute slots.  With ``workers > 1`` the donor runs a
-        :class:`WorkerPool` of spawn-started processes, keeps up to
-        ``workers`` leased units computing concurrently, and registers
-        with ``slots=workers`` so the server scales its lease depth and
-        unit sizing to the donor's real capacity.  The pooled loop
-        requests work while units compute, so it subsumes ``prefetch``.
-        Requires picklable algorithms/payloads/results (anything that
-        can travel RMI already is).
+        Parallel compute slots.  With ``workers > 1`` the loop's window
+        is ``workers`` units, computing concurrently on a
+        :class:`WorkerPool` of spawn-started processes, and the donor
+        registers with ``slots=workers`` so the server scales its lease
+        depth and unit sizing to the donor's real capacity.  Requests
+        overlap compute, so this subsumes ``prefetch``.  Requires
+        picklable algorithms/payloads/results (anything that can travel
+        RMI already is).
     pool:
         Inject a pre-built :class:`WorkerPool` (worker processes cost
         ~a second each to spawn; tests and embedding hosts can share one
@@ -337,9 +345,10 @@ class DonorClient:
         Byte budget of the shared-blob cache (LRU, content-addressed);
         every worker of a pool this client builds gets the same budget.
     blob_fetch:
-        Transport for cache misses: ``(problem_id, ref) -> bytes``.
-        Defaults to the server port's ``get_shared_blob``; the live
-        cluster injects a bulk-data-channel fetch instead.
+        Transport for cache misses: ``(problem_id, ref) -> bytes``,
+        called only from the loop's thread.  Defaults to the server
+        port's ``get_shared_blob``; the live cluster injects a
+        bulk-data-channel fetch instead.
     clock, sleep, rng:
         Injectable for tests.
     """
@@ -372,6 +381,7 @@ class DonorClient:
         self.idle_sleep_max = idle_sleep_max
         self.prefetch = prefetch
         self.workers = pool.workers if pool is not None else workers
+        self._pooled = pool is not None or workers > 1
         self._pool = pool
         self._pool_owned = False
         self._carry_cache: dict[tuple[str, str], bytes] = {}
@@ -383,10 +393,6 @@ class DonorClient:
         self._algorithms: dict[int, Algorithm] = {}
         self.blob_cache = BlobCache(cache_bytes)
         self._blob_fetch = blob_fetch
-        # One lock covers the blob cache and algorithm cache: the
-        # prefetch thread warms unit N+1 while the main thread resolves
-        # unit N, and neither cache is internally synchronised.
-        self._cache_lock = threading.Lock()
         # Pipeline telemetry accumulated donor-side, folded into the
         # next result's ``extra["meters"]`` so it reaches the server's
         # whitelisted farm.pipeline.* counters.
@@ -403,16 +409,20 @@ class DonorClient:
         return self.port.get_shared_blob(problem_id, ref.key)
 
     def _algorithm(self, problem_id: int) -> Algorithm:
-        with self._cache_lock:
-            algo = self._algorithms.get(problem_id)
+        algo = self._algorithms.get(problem_id)
         if algo is None:
             # Shipped once per problem and cached, as in the paper.
-            # Fetched outside the lock (it may be a slow RMI call); a
-            # rare duplicate fetch from the prefetch thread is benign.
-            algo = self.port.get_algorithm(problem_id)
-            with self._cache_lock:
-                self._algorithms[problem_id] = algo
+            algo = self._algorithms[problem_id] = self.port.get_algorithm(problem_id)
         return algo
+
+    def _resolve(self, assignment: Assignment) -> Any:
+        """The unit's payload with its shared blobs filled in from the
+        cache, fetching each miss."""
+        return fetch_and_resolve(
+            assignment.payload,
+            self.blob_cache,
+            lambda ref: self._fetch_blob(assignment.problem_id, ref),
+        )
 
     def execute(self, assignment: Assignment) -> WorkResult:
         """Run the Algorithm on one assignment and package the result."""
@@ -421,13 +431,7 @@ class DonorClient:
         start = self._clock()
         try:
             with unitstats.collect() as stats:
-                with self._cache_lock:
-                    payload = fetch_and_resolve(
-                        assignment.payload,
-                        self.blob_cache,
-                        lambda ref: self._fetch_blob(assignment.problem_id, ref),
-                    )
-                value = algo.compute(payload)
+                value = algo.compute(self._resolve(assignment))
         finally:
             stop_heartbeat()
         elapsed = self._clock() - start
@@ -450,8 +454,6 @@ class DonorClient:
         """Begin periodic lease renewal; returns a stop function."""
         if self.heartbeat_interval is None:
             return lambda: None
-        import threading
-
         done = threading.Event()
 
         def beat() -> None:
@@ -523,57 +525,14 @@ class DonorClient:
         assignment = self.port.request_work(self.donor_id)
         if assignment is None:
             return False
-        self._compute_and_submit(assignment)
+        self._finish(assignment, self._execute_or_error(assignment), None)
         return True
 
-    def _compute_and_submit(self, assignment: Assignment) -> None:
+    def _execute_or_error(self, assignment: Assignment) -> WorkResult | Exception:
         try:
-            result = self.execute(assignment)
+            return self.execute(assignment)
         except Exception as exc:
-            self.failures += 1
-            self.port.report_failure(
-                assignment.problem_id,
-                assignment.unit_id,
-                self.donor_id,
-                f"{type(exc).__name__}: {exc}",
-            )
-            return
-        self._submit(result)
-
-    def _spawn_prefetch(self) -> tuple[list[Assignment | None], threading.Event]:
-        """Request the next unit in the background; returns (box, done).
-
-        The thread also warms the algorithm and shared-blob caches for
-        the granted unit, so the wire time of unit N+1 hides entirely
-        under unit N's compute.  A port error leaves ``None`` in the
-        box — the main loop then falls back to a synchronous request.
-        """
-        box: list[Assignment | None] = [None]
-        done = threading.Event()
-
-        def fetch() -> None:
-            try:
-                assignment = self.port.request_work(self.donor_id)
-                box[0] = assignment
-                if assignment is not None:
-                    self._algorithm(assignment.problem_id)
-                    with self._cache_lock:
-                        fetch_and_resolve(
-                            assignment.payload,
-                            self.blob_cache,
-                            lambda ref: self._fetch_blob(
-                                assignment.problem_id, ref
-                            ),
-                        )
-            except Exception:
-                pass  # box holds whatever was granted before the error
-            finally:
-                done.set()
-
-        threading.Thread(
-            target=fetch, name=f"prefetch:{self.donor_id}", daemon=True
-        ).start()
-        return box, done
+            return exc
 
     def run(
         self,
@@ -581,22 +540,92 @@ class DonorClient:
         should_stop: Callable[[], bool] | None = None,
     ) -> int:
         """Loop until all problems finish (or a stop condition); returns
-        the number of units computed."""
-        pooled = self.workers > 1 or self._pool is not None
-        if pooled:
+        the number of units computed.
+
+        One loop serves every mode.  It keeps up to a *window* of leased
+        units in flight: ``workers`` when pooled, 2 with ``prefetch``
+        (one computing, the next already granted), else 1.  A deeper
+        hoard would only strand leases at problem end; the server's
+        lease depth enforces the same bound from its side.  Every port
+        call is made on this thread — ``heartbeat`` aside — and only
+        ``Algorithm.compute`` leaves it; at window 1 not even that, so
+        the serial donor is the paper's poll, download, compute, upload
+        loop.
+        """
+        if self._pooled:
             # Advertise capacity: the server scales this donor's lease
             # depth (PipelineConfig.depth_for) and unit sizing to it.
             self.port.register_donor(self.donor_id, self.workers)
+            window = self.workers
         else:
             self.port.register_donor(self.donor_id)
+            window = 2 if self.prefetch else 1
+        compute_thread = ThreadPool(1) if self.prefetch and not self._pooled else None
+        # An inline unit renews its own lease (execute); otherwise one
+        # heartbeat covers the whole run.
+        inline = not self._pooled and compute_thread is None
+        stop_heartbeat = (lambda: None) if inline else self._start_heartbeat()
+        finished: queue.SimpleQueue = queue.SimpleQueue()
+        in_flight, waiting, freed = 0, False, None
         try:
-            if pooled:
-                self._run_pooled(max_units, should_stop)
-            elif self.prefetch:
-                self._run_pipelined(max_units, should_stop)
-            else:
-                self._run_serial(max_units, should_stop)
+            while True:
+                # 1. Drain finished units: submit each, or report it.
+                while in_flight:
+                    try:
+                        item = finished.get(waiting, 0.05)
+                    except queue.Empty:
+                        break
+                    in_flight, waiting, freed = in_flight - 1, False, time.monotonic()
+                    self._finish(*item)
+                # 2. Check the stop conditions.
+                if should_stop is not None and should_stop():
+                    break
+                if max_units is not None and self.units_done >= max_units:
+                    break
+                # 3. Request work until the window is full; after a
+                # refusal, ask again only once a unit has finished.
+                granted = False
+                while not waiting and in_flight < window and (
+                    max_units is None or self.units_done + in_flight < max_units
+                ):
+                    assignment = self.port.request_work(self.donor_id)
+                    if assignment is None:
+                        waiting = in_flight > 0
+                        break
+                    granted = True
+                    if inline:
+                        # Window 1: compute and submit right here, then
+                        # back to the stop checks.
+                        self._finish(
+                            assignment, self._execute_or_error(assignment), None
+                        )
+                        break
+                    self._dispatch(assignment, compute_thread, finished)
+                    if compute_thread is not None and in_flight:
+                        # Granted before the compute slot freed up.
+                        self._meter("farm.pipeline.prefetch.hits", 1)
+                    elif compute_thread is not None:
+                        self._meter("farm.pipeline.prefetch.misses", 1)
+                        if freed is not None:
+                            self._meter(
+                                "farm.pipeline.idle.gap.seconds",
+                                time.monotonic() - freed,
+                            )
+                    in_flight += 1
+                # 4. Nothing in flight or granted: finish or back off.
+                if granted:
+                    self._idle_attempt = 0
+                elif in_flight:
+                    waiting = True  # block on the next completion
+                elif self.port.all_complete():
+                    break
+                else:
+                    freed = None
+                    self._idle_wait()
         finally:
+            stop_heartbeat()
+            if compute_thread is not None:
+                compute_thread.terminate()
             if self._pool_owned and self._pool is not None:
                 self._pool.shutdown()
                 self._pool = None
@@ -609,69 +638,101 @@ class DonorClient:
                 pass
         return self.units_done
 
-    def _run_serial(
+    def _dispatch(
         self,
-        max_units: int | None,
-        should_stop: Callable[[], bool] | None,
+        assignment: Assignment,
+        compute_thread: ThreadPool | None,
+        finished: queue.SimpleQueue,
     ) -> None:
-        while True:
-            if should_stop is not None and should_stop():
-                break
-            if max_units is not None and self.units_done >= max_units:
-                break
-            worked = self.step()
-            if worked:
-                self._idle_attempt = 0
-            else:
-                if self.port.all_complete():
-                    break
-                self._idle_wait()
+        """Hand one granted unit to a compute slot; its outcome lands in
+        *finished*.
 
-    def _run_pipelined(
-        self,
-        max_units: int | None,
-        should_stop: Callable[[], bool] | None,
-    ) -> None:
-        """Double-buffered donor loop: compute unit N while unit N+1
-        downloads.
-
-        One prefetch slot (not a queue): depth 2 is what hides the
-        wire, and a deeper hoard would just strand leases on this donor
-        at problem end — the server's lease depth enforces the same
-        bound from its side.
+        Every port call the unit needs — algorithm, shared blobs, pool
+        carry items — is made here, on the loop's thread.  Only
+        ``Algorithm.compute`` goes to the pool or the compute thread.
         """
-        slot: tuple[list[Assignment | None], threading.Event] | None = None
-        while True:
-            if should_stop is not None and should_stop():
-                break
-            if max_units is not None and self.units_done >= max_units:
-                break
-            if slot is None:
-                # Cold start (or post-idle): nothing in flight, pay the
-                # round-trip in the open.
-                self._meter("farm.pipeline.prefetch.misses", 1)
-                assignment = self.port.request_work(self.donor_id)
+        try:
+            if self._pooled:
+                pool = self._ensure_pool(assignment)
+                items = self._pool_items(assignment)
+                carry = tuple(i for i in items if i[:2] not in pool.seeded_keys)
+                for _kind, _key, data in carry:
+                    self._meter("farm.pool.carry.bytes", len(data))
             else:
-                box, done = slot
-                slot = None
-                if done.is_set():
-                    self._meter("farm.pipeline.prefetch.hits", 1)
-                else:
-                    start = self._clock()
-                    done.wait()
-                    gap = self._clock() - start
-                    self._meter("farm.pipeline.prefetch.misses", 1)
-                    if gap > 0:
-                        self._meter("farm.pipeline.idle.gap.seconds", gap)
-                assignment = box[0]
-            if assignment is None:
-                if self.port.all_complete():
-                    break
-                self._idle_wait()
-                continue
-            self._idle_attempt = 0
-            slot = self._spawn_prefetch()
-            self._compute_and_submit(assignment)
+                algo = self._algorithm(assignment.problem_id)
+                with unitstats.collect() as stats:
+                    payload = self._resolve(assignment)
+                for name, amount in stats.items():
+                    self._meter(name, amount)
+        except Exception as exc:
+            finished.put((assignment, exc, None))
+            return
+        dispatched = time.monotonic()
+
+        def done(outcome: Any) -> None:
+            # Runs on a result-handler thread: only enqueue, and leave
+            # all protocol work to the loop.
+            finished.put((assignment, outcome, dispatched))
+
+        if self._pooled:
+            pool.submit((items[0][1], assignment.payload, carry), done, done)
+        else:
+            compute_thread.apply_async(
+                _timed_compute,
+                (algo, lambda: payload),
+                callback=done,
+                error_callback=done,
+            )
+
+    def _finish(
+        self, assignment: Assignment, outcome: Any, dispatched: float | None
+    ) -> None:
+        """Submit one finished unit, or report its failure.
+
+        *outcome* is an exception, an inline :class:`WorkResult`, or the
+        ``(value, elapsed, started, meters, output_bytes)`` of a unit
+        handed to a compute slot at monotonic time *dispatched*.
+        """
+        pooled = dispatched is not None and self._pooled
+        if pooled:
+            now = time.monotonic()
+            if self._pool_mark:
+                # Slot-time advances by wall-time x workers between
+                # completions; utilization = busy.seconds / slot.seconds.
+                self._meter(
+                    "farm.pool.slot.seconds", (now - self._pool_mark) * self.workers
+                )
+            self._pool_mark = now
+        if isinstance(outcome, BaseException):
+            self.failures += 1
+            if pooled:
+                self._meter("farm.pool.failures", 1)
+            self.port.report_failure(
+                assignment.problem_id,
+                assignment.unit_id,
+                self.donor_id,
+                f"{type(outcome).__name__}: {outcome}",
+            )
+            return
+        if isinstance(outcome, tuple):
+            value, elapsed, started, stats, output_bytes = outcome
+            if pooled:
+                self._meter("farm.pool.units", 1)
+                self._meter("farm.pool.busy.seconds", elapsed)
+                self._meter(
+                    "farm.pool.queue.wait.seconds", max(0.0, started - dispatched)
+                )
+            outcome = WorkResult(
+                problem_id=assignment.problem_id,
+                unit_id=assignment.unit_id,
+                value=value,
+                donor_id=self.donor_id,
+                compute_seconds=elapsed,
+                items=assignment.items,
+                output_bytes=output_bytes,
+                extra={"meters": stats} if stats else {},
+            )
+        self._submit(outcome)
 
     # ------------------------------------------------------------------
     # pooled execution
@@ -719,133 +780,6 @@ class DonorClient:
             self._meter("farm.pool.workers", self.workers)
         self._pool_mark = time.monotonic()
         return self._pool
-
-    def _dispatch_pooled(
-        self,
-        pool: WorkerPool,
-        assignment: Assignment,
-        completions: "queue.Queue[tuple[Assignment, float, Any, BaseException | None]]",
-    ) -> None:
-        algo_key, _algo_bytes = self._algo_key(assignment.problem_id)
-        carry = tuple(
-            (kind, key, data)
-            for kind, key, data in self._pool_items(assignment)
-            if (kind, key) not in pool.seeded_keys
-        )
-        for _kind, _key, data in carry:
-            self._meter("farm.pool.carry.bytes", len(data))
-        dispatched = time.monotonic()
-        # Callbacks run on the pool's result-handler thread; they only
-        # enqueue, and the donor's main loop does all protocol work.
-        pool.submit(
-            (algo_key, assignment.payload, carry),
-            callback=lambda res, a=assignment, t=dispatched: completions.put(
-                (a, t, res, None)
-            ),
-            error_callback=lambda exc, a=assignment, t=dispatched: completions.put(
-                (a, t, None, exc)
-            ),
-        )
-
-    def _finish_pooled(
-        self, item: tuple[Assignment, float, Any, BaseException | None]
-    ) -> None:
-        assignment, dispatched, res, error = item
-        now = time.monotonic()
-        if self._pool_mark:
-            # Slot-time advances by wall-time x workers between
-            # completions; utilization = busy.seconds / slot.seconds.
-            self._meter(
-                "farm.pool.slot.seconds", (now - self._pool_mark) * self.workers
-            )
-        self._pool_mark = now
-        if error is not None:
-            self.failures += 1
-            self._meter("farm.pool.failures", 1)
-            self.port.report_failure(
-                assignment.problem_id,
-                assignment.unit_id,
-                self.donor_id,
-                f"{type(error).__name__}: {error}",
-            )
-            return
-        value, elapsed, started, stats, output_bytes = res
-        self._meter("farm.pool.units", 1)
-        self._meter("farm.pool.busy.seconds", elapsed)
-        self._meter("farm.pool.queue.wait.seconds", max(0.0, started - dispatched))
-        self._submit(
-            WorkResult(
-                problem_id=assignment.problem_id,
-                unit_id=assignment.unit_id,
-                value=value,
-                donor_id=self.donor_id,
-                compute_seconds=elapsed,
-                items=assignment.items,
-                output_bytes=output_bytes,
-                extra={"meters": stats} if stats else {},
-            )
-        )
-
-    def _run_pooled(
-        self,
-        max_units: int | None,
-        should_stop: Callable[[], bool] | None,
-    ) -> None:
-        """Keep up to ``workers`` leased units computing concurrently.
-
-        The protocol conversation (request, submit, report) stays
-        single-threaded in this loop — workers only compute — so the
-        server-facing behaviour is that of one very fast serial donor
-        and the exactly-once/integrity machinery is untouched.
-        """
-        completions: queue.Queue[
-            tuple[Assignment, float, Any, BaseException | None]
-        ] = queue.Queue()
-        in_flight = 0
-        stop_heartbeat = self._start_heartbeat()
-        try:
-            while True:
-                if should_stop is not None and should_stop():
-                    break
-                while True:
-                    try:
-                        item = completions.get_nowait()
-                    except queue.Empty:
-                        break
-                    in_flight -= 1
-                    self._finish_pooled(item)
-                if max_units is not None and self.units_done >= max_units:
-                    break
-                granted = False
-                while in_flight < self.workers and (
-                    max_units is None
-                    or self.units_done + in_flight < max_units
-                ):
-                    assignment = self.port.request_work(self.donor_id)
-                    if assignment is None:
-                        break
-                    pool = self._ensure_pool(assignment)
-                    self._dispatch_pooled(pool, assignment, completions)
-                    in_flight += 1
-                    granted = True
-                if granted:
-                    self._idle_attempt = 0
-                    continue
-                if in_flight > 0:
-                    # Saturated (or refused at depth): wait for a
-                    # completion, staying responsive to should_stop.
-                    try:
-                        item = completions.get(timeout=0.05)
-                    except queue.Empty:
-                        continue
-                    in_flight -= 1
-                    self._finish_pooled(item)
-                    continue
-                if self.port.all_complete():
-                    break
-                self._idle_wait()
-        finally:
-            stop_heartbeat()
 
 
 def run_to_completion(

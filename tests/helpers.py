@@ -2,10 +2,32 @@
 
 from __future__ import annotations
 
+import threading
 from typing import Any
 
 from repro.core.problem import Algorithm, DataManager
 from repro.core.workunit import UnitPayload, WorkResult
+
+
+class RecordingPort:
+    """Wrap a server port and log ``(method, calling thread id)`` for
+    every call made through it."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls: list[tuple[str, int]] = []
+
+    def __getattr__(self, name):
+        method = getattr(self._inner, name)
+
+        def call(*args, **kwargs):
+            self.calls.append((name, threading.get_ident()))
+            return method(*args, **kwargs)
+
+        return call
+
+    def names(self) -> list[str]:
+        return [name for name, _thread in self.calls]
 
 
 class ManualClock:

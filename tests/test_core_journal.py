@@ -665,3 +665,93 @@ class TestPrefixTruncationProperty:
             if server.status(pid) is ProblemStatus.RUNNING:
                 drive_to_completion(server, pid, t=6000.0)
             assert server.final_result(pid) == EXPECTED_TOTAL
+
+
+# -- power loss: only synced bytes are durable ---------------------------
+
+
+class PowerCut(Exception):
+    """The crash point: a sync that never returned."""
+
+
+class CrashStore(MemoryStore):
+    """A segment store under a power-cut model.
+
+    Bytes count as durable only once a ``sync`` covered them.  While
+    ``armed``, the next sync raises :class:`PowerCut` instead, so the
+    call that was writing is never acknowledged.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.synced: dict[str, int] = {}
+        self.armed = False
+
+    def create(self, name: str) -> None:
+        super().create(name)
+        self.synced[name] = 0
+
+    def sync(self, name: str) -> None:
+        if self.armed:
+            raise PowerCut(name)
+        self.synced[name] = len(self._segments[name])
+
+    def after_power_cut(self, keep) -> MemoryStore:
+        """What a reboot finds: each segment's synced prefix plus the
+        first ``keep(unsynced_bytes)`` bytes of its unsynced rest."""
+        survivor = MemoryStore()
+        for name in self.names():
+            data = self.read(name)
+            durable = self.synced[name]
+            kept = durable + keep(len(data) - durable)
+            survivor._segments[name] = bytearray(data[:kept])
+        return survivor
+
+
+class TestPowerCutProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        acked=st.integers(min_value=0, max_value=9),
+        in_submit=st.booleans(),
+        data=st.data(),
+    )
+    def test_acknowledged_folds_recover_exactly_once(self, acked, in_submit, data):
+        """Cut the power in the call after the *acked*-th acknowledged
+        fold (inside its request or its submit), lose any part of what
+        was not synced: ``recover()`` folds every acknowledged unit,
+        each exactly once."""
+        store = CrashStore()
+        server = TaskFarmServer(
+            policy=FixedGranularity(7),
+            lease_timeout=100.0,
+            journal=JournalWriter(store, segment_bytes=512),
+        )
+        pid = server.submit(
+            Problem("sum", RangeSumDataManager(60), RangeSumAlgorithm()), 0.0
+        )
+        server.register_donor("d0", 0.0)
+        folded: list[int] = []
+        t = 0.0
+        try:
+            while True:
+                store.armed = len(folded) == acked and not in_submit
+                a = server.request_work("d0", (t := t + 0.1))
+                if a is None:
+                    break
+                store.armed = len(folded) == acked
+                if server.submit_result(compute(a), (t := t + 0.1)):
+                    folded.append(a.unit_id)
+        except PowerCut:
+            pass
+        survivor = store.after_power_cut(
+            lambda unsynced: data.draw(st.integers(0, unsynced))
+        )
+
+        fresh = make_server(unit_items=7)
+        recover(fresh, survivor, now=5000.0)
+        state = fresh._problems[pid]
+        assert set(folded) <= state.completed_units
+        assert state.units_completed == len(state.completed_units)
+        if fresh.status(pid) is ProblemStatus.RUNNING:
+            drive_to_completion(fresh, pid, t=6000.0)
+        assert fresh.final_result(pid) == EXPECTED_TOTAL

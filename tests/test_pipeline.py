@@ -13,12 +13,14 @@ taper, and the donor-side idle backoff.
 """
 
 import random
+import threading
+import time
 
 import pytest
 
-from repro.cluster.local import ThreadCluster
+from repro.cluster.local import ServerFacade, ThreadCluster
 from repro.cluster.sim import FaultPlan, SimCluster, heterogeneous_pool
-from repro.core.client import DonorClient, run_to_completion
+from repro.core.client import DonorClient, InProcessServerPort, run_to_completion
 from repro.core.integrity import canonical_digest
 from repro.core.problem import Problem
 from repro.core.scheduler import (
@@ -28,7 +30,12 @@ from repro.core.scheduler import (
 )
 from repro.core.server import PipelineConfig, ProblemStatus, TaskFarmServer
 from repro.core.workunit import WorkResult
-from tests.helpers import ManualClock, RangeSumAlgorithm, RangeSumDataManager
+from tests.helpers import (
+    ManualClock,
+    RangeSumAlgorithm,
+    RangeSumDataManager,
+    RecordingPort,
+)
 from tests.test_data_cache import DIFF_SEEDS, dprml_problem, dsearch_problem
 
 #: The standard pipelined runtime under test everywhere below.
@@ -140,6 +147,39 @@ class TestInProcessDifferential:
             counters.get("farm.pipeline.prefetch.hits", 0)
             + counters.get("farm.pipeline.prefetch.misses", 0)
         ) > 0
+
+
+class TestOneLoop:
+    """Every mode runs the one windowed loop of ``DonorClient.run``."""
+
+    def test_serial_run_port_calls_in_order(self):
+        """Window 1: each unit's calls in the paper's order, one unit at
+        a time, the shared blobs fetched once."""
+        server = TaskFarmServer(policy=FixedGranularity(2), lease_timeout=600.0)
+        server.submit(dsearch_problem(3, share=True), 0.0)
+        port = RecordingPort(InProcessServerPort(server))
+        assert DonorClient("d0", port, sleep=lambda _s: None).run() == 7
+        assert port.names() == (
+            ["register_donor", "request_work", "get_algorithm"]
+            + ["get_shared_blob"] * 2
+            + ["submit_result"]
+            + ["request_work", "submit_result"] * 6
+            + ["request_work", "all_complete", "deregister_donor"]
+        )
+        assert {thread for _name, thread in port.calls} == {threading.get_ident()}
+
+    def test_prefetch_port_calls_stay_on_the_run_thread(self):
+        """Window 2: only compute leaves the loop's thread."""
+        server = TaskFarmServer(
+            policy=FixedGranularity(2), lease_timeout=600.0, pipeline=PIPELINE
+        )
+        server.submit(dsearch_problem(3, share=True), time.monotonic())
+        port = RecordingPort(ServerFacade(server))
+        client = DonorClient("d0", port, prefetch=True, idle_sleep=0.001)
+        assert client.run() == 7
+        assert {thread for _name, thread in port.calls} == {threading.get_ident()}
+        counters = server.obs.meters.snapshot()["counters"]
+        assert counters["farm.pipeline.prefetch.hits"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from typing import Any
@@ -40,7 +41,7 @@ from repro.core.problem import Algorithm, Problem
 from repro.core.scheduler import AdaptiveGranularity, FixedGranularity
 from repro.core.server import PipelineConfig, ProblemStatus, TaskFarmServer
 from repro.core.workunit import WorkResult
-from tests.helpers import RangeSumAlgorithm, RangeSumDataManager
+from tests.helpers import RangeSumAlgorithm, RangeSumDataManager, RecordingPort
 from tests.test_data_cache import DIFF_SEEDS, dprml_problem, dsearch_problem
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -101,6 +102,16 @@ class TestPooledDonor:
         DonorClient("reuser", InProcessServerPort(server), pool=shared_pool).run()
         assert server.final_result(pid) == 50 * 49 // 2
         assert len(shared_pool.worker_pids()) == 2
+
+    def test_port_calls_stay_on_the_run_thread(self, shared_pool):
+        """Algorithm, blob and carry fetches happen at dispatch, on the
+        loop's thread; only compute reaches the workers."""
+        server = TaskFarmServer(policy=FixedGranularity(2), lease_timeout=60.0)
+        server.submit(dsearch_problem(3, share=True), 0.0)
+        port = RecordingPort(InProcessServerPort(server))
+        assert DonorClient("pooled", port, pool=shared_pool).run() == 7
+        assert {thread for _name, thread in port.calls} == {threading.get_ident()}
+        assert port.names().count("get_shared_blob") == 2
 
     def test_pool_workers_honour_the_cache_budget(self):
         """The client's cache budget reaches its own pool's workers: a

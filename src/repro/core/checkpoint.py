@@ -207,13 +207,7 @@ def restore_checkpoint(
         server._problems[pid] = state
         if snap.failure_reason is not None:
             server._failures[pid] = snap.failure_reason
-        if state.status is ProblemStatus.RUNNING:
-            # Top queued copies up (or trim them down) to each
-            # replicated unit's remaining vote requirement.
-            for unit_id in list(state.voting):
-                unit = server._find_unit(state, unit_id)
-                if unit is not None:
-                    server._ensure_vote_supply(state, unit, now, reason="restore")
+        server._rebalance_votes(state, now, reason="restore")
         server.log.record(now, "problem.restored", problem_id=pid, name=snap.problem.name)
         restored.append(pid)
     return restored

@@ -73,6 +73,14 @@ class JobStatus(enum.Enum):
         return self in (JobStatus.QUEUED, JobStatus.RUNNING)
 
 
+#: The job status a finished problem's status becomes.
+_JOB_ENDINGS = {
+    ProblemStatus.COMPLETE: JobStatus.DONE,
+    ProblemStatus.FAILED: JobStatus.FAILED,
+    ProblemStatus.CANCELLED: JobStatus.CANCELLED,
+}
+
+
 @dataclass(frozen=True, slots=True)
 class TenantConfig:
     """One tenant's scheduling weight and quotas.
@@ -229,7 +237,6 @@ class WeightedFairShare:
 
     def __init__(self) -> None:
         self._server: TaskFarmServer | None = None
-        self._meters = None
         self._weights: dict[str, float] = {}
         self._caps: dict[str, int | None] = {}
         self._completed: dict[str, float] = {}
@@ -240,7 +247,6 @@ class WeightedFairShare:
         """Bind to *server* (lease table for in-flight accounting,
         meter registry for per-tenant counters)."""
         self._server = server
-        self._meters = server.obs.meters
 
     def set_tenant(
         self, tenant_id: str, weight: float, max_inflight_items: int | None = None
@@ -304,10 +310,9 @@ class WeightedFairShare:
         the server on every accepted fold)."""
         tenant_id = self.tenant_of(problem_id)
         self._completed[tenant_id] = self._completed.get(tenant_id, 0.0) + items
-        if self._meters is not None:
-            self._meters.counter(f"farm.tenant.{tenant_id}.items.completed").inc(
-                items
-            )
+        if self._server is not None:
+            meters = self._server.obs.meters
+            meters.counter(f"farm.tenant.{tenant_id}.items.completed").inc(items)
 
     # -- internals -------------------------------------------------------
 
@@ -383,20 +388,25 @@ class JobGateway:
         self._jobs: dict[int, Job] = {}
         self._by_problem: dict[int, int] = {}
         self._next_job_id = 1
-        meters = server.obs.meters
+        self._bind_meters(server.obs.meters)
+        for config in tenants:
+            self.add_tenant(config, 0.0)
+
+    def _bind_meters(self, meters) -> None:
+        """Send the job counters to *meters* (journal replay binds a
+        scratch registry, as for :meth:`TaskFarmServer._bind_obs`)."""
         self._m_submitted = meters.counter("farm.gateway.jobs.submitted")
         self._m_started = meters.counter("farm.gateway.jobs.started")
-        self._m_done = meters.counter("farm.gateway.jobs.done")
-        self._m_failed = meters.counter("farm.gateway.jobs.failed")
-        self._m_cancelled = meters.counter("farm.gateway.jobs.cancelled")
+        self._m_ended = {
+            status: meters.counter(f"farm.gateway.jobs.{status.value}")
+            for status in (JobStatus.DONE, JobStatus.FAILED, JobStatus.CANCELLED)
+        }
         self._m_rejected = meters.counter("farm.gateway.jobs.rejected")
         self._g_queued = meters.gauge("farm.gateway.jobs.queued")
         self._g_running = meters.gauge("farm.gateway.jobs.running")
         self._h_queue_wait = meters.histogram(
             "farm.gateway.queue.wait.seconds", LATENCY_BUCKETS
         )
-        for config in tenants:
-            self.add_tenant(config, 0.0)
 
     def _journal(self, kind: str, now: float, **fields: Any) -> None:
         self.server._journal(kind, now, **fields)
@@ -410,8 +420,7 @@ class JobGateway:
     def add_tenant(self, config: TenantConfig, now: float = 0.0) -> None:
         if config.tenant_id in self._tenants:
             raise ValueError(f"tenant {config.tenant_id!r} already exists")
-        self._journal("gateway.tenant", now, config=config)
-        self._install_tenant(config)
+        self.ensure_tenant(config, now)
 
     def ensure_tenant(self, config: TenantConfig, now: float = 0.0) -> None:
         """Add *config*, or update it in place when the tenant already
@@ -482,9 +491,18 @@ class JobGateway:
                 retry_after=self.retry_after,
             )
         job_id = self._next_job_id
-        self._next_job_id += 1
+        self._admit(tenant, job_id, problem, now)
+        self._promote(tenant, now)
+        self._sync_gauges()
+        return job_id
+
+    def _admit(
+        self, tenant: _TenantState, job_id: int, problem: Problem, now: float
+    ) -> None:
+        """Queue a new job under *tenant*."""
         # Journaled while the Problem is pristine (no units cut), so a
         # crashed server restores the queued job byte-for-byte.
+        tenant_id = tenant.config.tenant_id
         self._journal(
             "gateway.job.submit",
             now,
@@ -495,6 +513,7 @@ class JobGateway:
         job = Job(job_id, tenant_id, problem, problem.problem_id, now)
         self._jobs[job_id] = job
         self._by_problem[job.problem_id] = job_id
+        self._next_job_id = max(self._next_job_id, job_id + 1)
         tenant.pending.append(job)
         self._m_submitted.inc()
         self.server.log.record(
@@ -504,9 +523,6 @@ class JobGateway:
             tenant=tenant_id,
             problem_id=job.problem_id,
         )
-        self._promote(tenant, now)
-        self._sync_gauges()
-        return job_id
 
     def cancel_job(self, job_id: int, now: float = 0.0) -> bool:
         """Cancel a queued or running job; returns False when the job
@@ -520,62 +536,69 @@ class JobGateway:
         if job is None:
             raise KeyError(f"unknown job {job_id}")
         tenant = self._tenants[job.tenant_id]
+        if not job.status.open:
+            return False
+        cancelled = (
+            job.status is JobStatus.QUEUED
+            or self.server.status(job.problem_id) is ProblemStatus.RUNNING
+        )
+        if cancelled:
+            self._cancel(tenant, job, now)
+        else:
+            # Finished on the server before this cancel landed:
+            # reconcile instead — too late to cancel.
+            self._reconcile_job(tenant, job, now)
+        self._promote(tenant, now)
+        self._sync_gauges()
+        return cancelled
+
+    def _cancel(self, tenant: _TenantState, job: Job, now: float) -> None:
+        """Cancel an open job: a queued one leaves its queue, a running
+        one cancels its problem on the server."""
+        self._journal("gateway.job.cancel", now, job_id=job.job_id)
         if job.status is JobStatus.QUEUED:
-            self._journal("gateway.job.cancel", now, job_id=job_id)
             tenant.pending.remove(job)
             job.problem = None
-            job.status = JobStatus.CANCELLED
-            job.finished_at = now
-            tenant.jobs_cancelled += 1
-            self._m_cancelled.inc()
-            self.server.log.record(
-                now, "job.cancelled", job_id=job_id, tenant=job.tenant_id
-            )
-            self._sync_gauges()
-            return True
-        if job.status is JobStatus.RUNNING:
-            if self.server.status(job.problem_id) is not ProblemStatus.RUNNING:
-                # Finished on the server before this cancel landed:
-                # reconcile instead — too late to cancel.
-                self._reconcile_job(tenant, job, now, quiet=False)
-                self._promote(tenant, now)
-                self._sync_gauges()
-                return False
-            self._journal("gateway.job.cancel", now, job_id=job_id)
+        else:
             self.server.cancel_problem(job.problem_id, now)
-            job.status = JobStatus.CANCELLED
-            job.finished_at = now
-            tenant.running.discard(job_id)
-            tenant.jobs_cancelled += 1
-            self._m_cancelled.inc()
-            self.server.log.record(
-                now, "job.cancelled", job_id=job_id, tenant=job.tenant_id
-            )
-            self._promote(tenant, now)
-            self._sync_gauges()
-            return True
-        return False
+            tenant.running.discard(job.job_id)
+        self._end_job(tenant, job, JobStatus.CANCELLED, now)
+        self.server.log.record(
+            now, "job.cancelled", job_id=job.job_id, tenant=job.tenant_id
+        )
 
     def pump(self, now: float) -> None:
         """Reconcile finished problems into job states and promote
         queued jobs into freed running slots."""
+        self.reconcile(now)
+        for tenant in self._tenants.values():
+            self._promote(tenant, now)
+        self._sync_gauges()
+
+    def reconcile(self, now: float) -> None:
+        """Fold the terminal status of every running job's finished
+        problem into the job.
+
+        Terminal job states are derived here, never journaled, so
+        recovery runs this once more after replay.
+        """
         for tenant in self._tenants.values():
             for job_id in sorted(tenant.running):
                 job = self._jobs[job_id]
                 if self.server.status(job.problem_id) is not ProblemStatus.RUNNING:
-                    self._reconcile_job(tenant, job, now, quiet=False)
-            self._promote(tenant, now)
-        self._sync_gauges()
+                    self._reconcile_job(tenant, job, now)
 
     def _promote(self, tenant: _TenantState, now: float) -> None:
         while tenant.pending and len(tenant.running) < tenant.config.max_running:
-            job = tenant.pending.popleft()
-            self._start_job(tenant, job, now)
+            self._start_job(tenant, tenant.pending[0], now)
 
     def _start_job(self, tenant: _TenantState, job: Job, now: float) -> None:
-        # The start record links job -> problem ahead of the server's
-        # own problem.submit record, so replay sees the same order.
+        """Start a queued job: its Problem goes to the server."""
+        # The start record precedes the server's own problem.submit
+        # record.  Replaying it submits the problem, and replay then
+        # takes that problem.submit record as already applied.
         self._journal("gateway.job.start", now, job_id=job.job_id)
+        tenant.pending.remove(job)
         problem = job.problem
         job.problem = None
         job.status = JobStatus.RUNNING
@@ -598,40 +621,28 @@ class JobGateway:
             queue_wait=wait,
         )
 
-    def _reconcile_job(
-        self, tenant: _TenantState, job: Job, now: float, quiet: bool
-    ) -> None:
-        """Fold a finished problem's terminal status into its job.
-
-        ``quiet=True`` is the recovery path: primitive state edits
-        only, no meters or events (pre-crash work must not re-count).
-        """
-        status = self.server.status(job.problem_id)
-        if status is ProblemStatus.COMPLETE:
-            job.status = JobStatus.DONE
-            tenant.jobs_done += 1
-            counter = self._m_done
-        elif status is ProblemStatus.FAILED:
-            job.status = JobStatus.FAILED
-            tenant.jobs_failed += 1
-            counter = self._m_failed
-        elif status is ProblemStatus.CANCELLED:
-            job.status = JobStatus.CANCELLED
-            tenant.jobs_cancelled += 1
-            counter = self._m_cancelled
-        else:  # pragma: no cover - callers check RUNNING first
-            return
-        job.finished_at = now
+    def _reconcile_job(self, tenant: _TenantState, job: Job, now: float) -> None:
+        """Fold a finished problem's terminal status into its job."""
+        status = _JOB_ENDINGS[self.server.status(job.problem_id)]
         tenant.running.discard(job.job_id)
-        if not quiet:
-            counter.inc()
-            self.server.log.record(
-                now,
-                f"job.{job.status.value}",
-                job_id=job.job_id,
-                tenant=job.tenant_id,
-                problem_id=job.problem_id,
-            )
+        self._end_job(tenant, job, status, now)
+        self.server.log.record(
+            now,
+            f"job.{job.status.value}",
+            job_id=job.job_id,
+            tenant=job.tenant_id,
+            problem_id=job.problem_id,
+        )
+
+    def _end_job(
+        self, tenant: _TenantState, job: Job, status: JobStatus, now: float
+    ) -> None:
+        """Give a job its terminal *status* and count it."""
+        job.status = status
+        job.finished_at = now
+        field = f"jobs_{status.value}"
+        setattr(tenant, field, getattr(tenant, field) + 1)
+        self._m_ended[status].inc()
 
     # -- introspection ---------------------------------------------------
 
@@ -709,69 +720,22 @@ class JobGateway:
     # -- durability ------------------------------------------------------
 
     def replay(self, record: dict) -> None:
-        """Apply one ``gateway.*`` journal record as a primitive state
-        edit (mirrors the server-side replay style: no meters/events)."""
+        """Apply one ``gateway.*`` journal record by running the
+        transition that wrote it (:func:`repro.core.journal.recover`
+        binds scratch sinks, so nothing is counted or logged twice)."""
         kind = record["kind"]
         now = record["now"]
         if kind == "gateway.tenant":
             self._install_tenant(record["config"])
         elif kind == "gateway.job.submit":
-            problem = record["problem"]
-            job = Job(
-                record["job_id"], record["tenant"], problem, problem.problem_id, now
-            )
-            self._jobs[job.job_id] = job
-            self._by_problem[job.problem_id] = job.job_id
-            self._tenants[job.tenant_id].pending.append(job)
-            self._next_job_id = max(self._next_job_id, job.job_id + 1)
-        elif kind == "gateway.job.start":
+            tenant = self._tenants[record["tenant"]]
+            self._admit(tenant, record["job_id"], record["problem"], now)
+        elif kind in ("gateway.job.start", "gateway.job.cancel"):
             job = self._jobs[record["job_id"]]
-            tenant = self._tenants[job.tenant_id]
-            tenant.pending.remove(job)
-            job.problem = None  # the server's own replay owns the Problem
-            job.status = JobStatus.RUNNING
-            job.started_at = now
-            tenant.running.add(job.job_id)
-            self.scheduler.bind(job.problem_id, job.tenant_id)
-            wait = max(0.0, now - job.submitted_at)
-            tenant.wait_total += wait
-            tenant.wait_count += 1
-            tenant.wait_max = max(tenant.wait_max, wait)
-        elif kind == "gateway.job.cancel":
-            job = self._jobs[record["job_id"]]
-            tenant = self._tenants[job.tenant_id]
-            if job.status is JobStatus.QUEUED:
-                tenant.pending.remove(job)
-            else:
-                tenant.running.discard(job.job_id)
-            job.problem = None
-            job.status = JobStatus.CANCELLED
-            job.finished_at = now
-            tenant.jobs_cancelled += 1
+            transition = self._start_job if kind.endswith("start") else self._cancel
+            transition(self._tenants[job.tenant_id], job, now)
         else:
             raise ValueError(f"unknown gateway journal record kind {kind!r}")
-
-    def reconcile(self, now: float) -> None:
-        """Post-replay fixup: fold terminal problem statuses into jobs
-        and rebuild the fair-share account from replayed folds.
-
-        The per-tenant delivered-items total is exactly the sum of its
-        problems' ``items_completed`` — every fold was journaled, every
-        problem object survives in the server, so the rebuilt virtual
-        times match the pre-crash ones bit-for-bit.
-        """
-        for tenant in self._tenants.values():
-            for job_id in sorted(tenant.running):
-                job = self._jobs[job_id]
-                if self.server.status(job.problem_id) is not ProblemStatus.RUNNING:
-                    self._reconcile_job(tenant, job, now, quiet=True)
-        completed: dict[str, float] = {t: 0.0 for t in self._tenants}
-        for job in self._jobs.values():
-            state = self.server._problems.get(job.problem_id)
-            if state is not None:
-                completed[job.tenant_id] += state.items_completed
-        self.scheduler.rebuild(completed)
-        self._sync_gauges()
 
     def dump(self) -> dict[str, Any]:
         """Checkpointable snapshot of the whole gateway (rides inside
@@ -839,7 +803,14 @@ class JobGateway:
             tenant = self._tenants[job.tenant_id]
             if job.status is JobStatus.QUEUED:
                 tenant.pending.append(job)  # job-id order == submit order
-            elif job.status is JobStatus.RUNNING:
-                tenant.running.add(job.job_id)
+            else:
+                if job.status is JobStatus.RUNNING:
+                    tenant.running.add(job.job_id)
                 self.scheduler.bind(job.problem_id, job.tenant_id)
-        self._sync_gauges()
+        # Folds charge their tenant as they happen; the checkpoint
+        # carries them as each problem's items_completed.
+        completed: dict[str, float] = {}
+        for pid, state in self.server._problems.items():
+            tenant_id = self.scheduler.tenant_of(pid)
+            completed[tenant_id] = completed.get(tenant_id, 0.0) + state.items_completed
+        self.scheduler.rebuild(completed)

@@ -31,10 +31,14 @@ DataManager contract makes deterministic, and asserts the ids line up
 — a divergence fails loudly rather than folding results into the wrong
 slices.
 
-Replay applies records as primitive state edits (the same style as
-checkpoint restore), never through the public metered entry points, so
-a recovered server's meters count only post-recovery work and the
-event log stays causal.
+Replay applies each record by running the very transition that wrote
+it — a cut, vote, fold or reputation event through its
+``TaskFarmServer`` method, a problem's end through ``_end_problem``, a
+job submit, start or cancel through the gateway's own methods — so
+each is written once.  During replay the server's
+journal is off and its meters, spans and event log are bound to scratch
+sinks: a recovered server's meters count only post-recovery work and
+the event log stays causal.
 """
 
 from __future__ import annotations
@@ -48,10 +52,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol
 
-from repro.core.integrity import Vote, _UnitIntegrity, canonical_digest
-from repro.core.server import ProblemStatus, TaskFarmServer, _ProblemState
-from repro.core.workunit import WorkUnit
-from repro.util.events import EventLog
+from repro.core.server import END_RECORDS, ProblemStatus, TaskFarmServer
+from repro.obs import Observability
 
 MAGIC = b"TFWJ"
 SEGMENT_VERSION = 1
@@ -61,6 +63,7 @@ _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
 #: overwritten length would otherwise make the reader swallow garbage.
 _MAX_FRAME_BYTES = 64 * 1024 * 1024
 DEFAULT_SEGMENT_BYTES = 256 * 1024
+_END_STATUS = {kind: status for status, kind in END_RECORDS.items()}
 
 
 class JournalError(RuntimeError):
@@ -378,114 +381,109 @@ class RecoveryReport:
     torn_bytes: int
 
 
-def _replay_fold(server: TaskFarmServer, result, now: float) -> None:
-    """Re-apply one accepted result, mirroring ``_accept_result`` minus
-    meters/log/tracer (recovery must not re-count pre-crash work)."""
-    state = server._problems[result.problem_id]
-    if result.unit_id in state.completed_units:
-        raise JournalError(
-            f"replay divergence: unit {result.unit_id} of problem "
-            f"{result.problem_id} folded twice"
-        )
-    server.leases.release(result.problem_id, result.unit_id)
-    TaskFarmServer._drop_queued(state, result.unit_id)
-    state.voting.pop(result.unit_id, None)
-    state.problem.data_manager.handle_result(result)
-    state.completed_units.add(result.unit_id)
-    state.units_completed += 1
-    state.items_completed += result.items
-    if state.problem.data_manager.is_complete():
-        state.status = ProblemStatus.COMPLETE
-        state.completed_at = now
-        for lease in server.leases.outstanding(result.problem_id):
-            server.leases.release(lease.unit.problem_id, lease.unit.unit_id)
-        state.requeue.clear()
-        state.replicas.clear()
-        state.voting.clear()
+def _divergence(message: str) -> JournalError:
+    return JournalError(f"replay divergence: {message}")
 
 
-def _apply(server: TaskFarmServer, record: dict) -> None:
-    """Apply one journal record to *server* as a primitive state edit."""
+def _apply(server: TaskFarmServer, record: dict, gateway=None) -> None:
+    """Apply one server journal record by running the transition that
+    wrote it (see :func:`recover` for the scratch sinks).
+
+    A record that ends an already-ended problem the same way is an
+    idempotent replay, never a mutation: a replayed
+    ``gateway.job.cancel`` has already cancelled the problem its
+    ``problem.cancelled`` record names.
+    """
     kind = record["kind"]
     now = record["now"]
     if kind == "problem.submit":
-        problem = record["problem"]
-        if problem.problem_id in server._problems:
-            raise JournalError(
-                f"replay divergence: problem {problem.problem_id} submitted twice"
-            )
-        server._problems[problem.problem_id] = _ProblemState(problem, now)
+        pid = record["problem"].problem_id
+        if pid not in server._problems:
+            server.submit(record["problem"], now)
+        elif gateway is None or pid not in gateway._by_problem:
+            raise _divergence(f"problem {pid} submitted twice")
+        # else: the second half of a job start, whose replay submitted it
     elif kind == "donor.register":
         server.register_donor(record["donor"], now, slots=record["slots"])
     elif kind == "donor.deregister":
         server.deregister_donor(record["donor"], now)
     elif kind == "unit.cut":
         state = server._problems[record["pid"]]
-        if record["uid"] != state.next_unit_id:
-            raise JournalError(
-                f"replay divergence: journal cut unit {record['uid']} but "
-                f"problem {record['pid']} is at unit {state.next_unit_id}"
+        uid, items = record["uid"], record["items"]
+        if uid != state.next_unit_id:
+            raise _divergence(
+                f"journal cut unit {uid} but problem {record['pid']} is at "
+                f"unit {state.next_unit_id}"
             )
-        payload = state.problem.data_manager.next_unit(record["items"])
-        if payload is None or payload.items != record["items"]:
-            got = "nothing" if payload is None else f"{payload.items} items"
-            raise JournalError(
-                f"replay divergence: re-cutting unit {record['uid']} of "
-                f"problem {record['pid']} yielded {got}, journal recorded "
-                f"{record['items']} items"
+        unit = server._cut_unit(state, items, now)
+        if unit is None or unit.items != items:
+            got = "nothing" if unit is None else f"{unit.items} items"
+            raise _divergence(
+                f"re-cutting unit {uid} of problem {record['pid']} yielded "
+                f"{got}, journal recorded {items} items"
             )
-        unit = WorkUnit.from_payload(record["pid"], state.next_unit_id, payload)
-        state.next_unit_id += 1
         # Never re-granted during replay: every unfolded unit parks on
         # the requeue and is reissued by normal scheduling afterwards.
         state.requeue.append(unit)
-    elif kind == "unit.voting.open":
+    elif kind in ("unit.voting.open", "unit.voting.require"):
         state = server._problems[record["pid"]]
-        state.voting[record["uid"]] = _UnitIntegrity(required=record["required"])
-    elif kind == "unit.voting.require":
-        state = server._problems[record["pid"]]
-        state.voting[record["uid"]].required = record["required"]
+        server._require_votes(state, record["uid"], record["required"], now)
     elif kind == "unit.vote":
         result = record["result"]
         state = server._problems[result.problem_id]
-        voting = state.voting[result.unit_id]
-        voting.votes.append(
-            Vote(result.donor_id, canonical_digest(result.value), result)
-        )
+        server._cast_vote(state.voting[result.unit_id], result, now)
     elif kind == "unit.fold":
-        _replay_fold(server, record["result"], now)
-    elif kind == "rep":
-        rep = server.reputation.record(record["donor"])
-        field = record["field"]
-        setattr(rep, field, getattr(rep, field) + 1)
-        if field != "agreements":
-            # No leases exist during replay, so the quarantine side
-            # effects of _update_reputation reduce to the transition.
-            server.reputation.update_state(record["donor"], server.integrity)
-    elif kind == "problem.failed":
-        state = server._problems[record["pid"]]
-        state.status = ProblemStatus.FAILED
-        state.completed_at = now
-        server._failures[record["pid"]] = record["reason"]
-        state.requeue.clear()
-        state.replicas.clear()
-        state.voting.clear()
-    elif kind == "problem.cancelled":
-        state = server._problems[record["pid"]]
-        state.status = ProblemStatus.CANCELLED
-        state.completed_at = now
-        state.requeue.clear()
-        state.replicas.clear()
-        state.voting.clear()
-    elif kind == "problem.completed":
-        state = server._problems[record["pid"]]
-        if state.status is not ProblemStatus.COMPLETE:
-            raise JournalError(
-                f"replay divergence: journal completed problem "
-                f"{record['pid']} but replay left it {state.status.value}"
+        result = record["result"]
+        state = server._problems[result.problem_id]
+        if result.unit_id in state.completed_units:
+            raise _divergence(
+                f"unit {result.unit_id} of problem {result.problem_id} "
+                f"folded twice"
             )
+        server._accept_result(state, result, now)
+    elif kind == "rep":
+        server._rate(record["donor"], record["field"], now)
+    elif kind in _END_STATUS:
+        state = server._problems[record["pid"]]
+        status = _END_STATUS[kind]
+        if state.status is not status:
+            # A fold completes its problem itself, so problem.completed
+            # only checks that replay agrees.
+            if state.status is not ProblemStatus.RUNNING or (
+                status is ProblemStatus.COMPLETE
+            ):
+                raise _divergence(
+                    f"journal {kind.split('.')[1]} problem {record['pid']} "
+                    f"but replay left it {state.status.value}"
+                )
+            server._end_problem(state, status, now, record.get("reason"))
     else:
         raise JournalError(f"unknown journal record kind {kind!r}")
+
+
+class _Discard:
+    """Event sink for replay: what a replayed transition logs happened
+    before the crash, at times the live log has already passed."""
+
+    def record(self, time: float, kind: str, **data: Any) -> None:
+        pass
+
+
+def _bind_sinks(server: TaskFarmServer, gateway, obs: Observability, log) -> None:
+    """Point the server's (and gateway's) meters, spans and event log
+    at *obs* and *log*."""
+    server.log = log
+    server._bind_obs(obs)
+    if gateway is not None:
+        gateway._bind_meters(obs.meters)
+
+
+def _require(gateway, found: str) -> None:
+    if gateway is None:
+        raise JournalError(
+            f"{found} but no gateway was provided to recover() — restart "
+            "with the gateway enabled (e.g. repro-server --tenants)"
+        )
 
 
 def recover(
@@ -511,19 +509,20 @@ def recover(
     already attached to *server*: the checkpoint's gateway snapshot is
     restored into it, ``gateway.*`` journal records are replayed
     through it, and a final ``gateway.reconcile`` folds terminal
-    problem statuses into jobs and rebuilds the fair-share accounting.
-    A journal that contains gateway state while ``gateway`` is None
-    fails loudly — silently dropping queued jobs is not recovery.
+    problem statuses into jobs.  A journal that contains gateway state
+    while ``gateway`` is None fails loudly — silently dropping queued
+    jobs is not recovery.
     """
     from repro.core.checkpoint import parse_checkpoint, restore_checkpoint
 
-    meters = server.obs.meters
+    obs, log = server.obs, server.log
     started = time.perf_counter()
-    # Replayed records carry pre-crash timestamps, which would violate
-    # the live log's causal order — replay writes to a scratch log.
-    real_log = server.log
-    server.log = EventLog()
-    server.journal = None  # replay must not re-journal itself
+    # Recovery runs the live transitions against scratch sinks: replayed
+    # records carry pre-crash timestamps (the live log must stay
+    # causal), pre-crash work must not count twice in the meters or
+    # spans, and nothing is journaled again.
+    server.journal = None
+    _bind_sinks(server, gateway, Observability(), _Discard())
     checkpoint_lsn = 0
     restored: list[int] = []
     try:
@@ -532,28 +531,18 @@ def recover(
             checkpoint_lsn = blob.journal_lsn
             restored = restore_checkpoint(blob, server, now)
             if blob.gateway is not None:
-                if gateway is None:
-                    raise JournalError(
-                        "checkpoint contains gateway state but no gateway "
-                        "was provided to recover() — restart with the "
-                        "gateway enabled (e.g. repro-server --tenants)"
-                    )
+                _require(gateway, "checkpoint contains gateway state")
                 gateway.restore(blob.gateway)
-        records, next_lsn, torn_bytes = read_journal(store, meters=meters)
+        records, next_lsn, torn_bytes = read_journal(store, meters=obs.meters)
         replayed = 0
         for record in records:
             if record["lsn"] <= checkpoint_lsn:
                 continue
             if record["kind"].startswith("gateway."):
-                if gateway is None:
-                    raise JournalError(
-                        "journal contains gateway records but no gateway "
-                        "was provided to recover() — restart with the "
-                        "gateway enabled (e.g. repro-server --tenants)"
-                    )
+                _require(gateway, "journal contains gateway records")
                 gateway.replay(record)
             else:
-                _apply(server, record)
+                _apply(server, record, gateway)
             replayed += 1
         # A torn tail can rip a unit's voting.open while its cut (and a
         # result already in flight to a donor) survive; under a
@@ -565,26 +554,21 @@ def recover(
                     continue
                 for unit in state.requeue:
                     if unit.unit_id not in state.voting:
-                        state.voting[unit.unit_id] = _UnitIntegrity(
-                            required=server.integrity.replication
+                        server._require_votes(
+                            state, unit.unit_id, server.integrity.replication, now
                         )
-        # Re-balance each replicated unit's supply against its replayed
-        # votes (the journal-replay twin of checkpoint restore's pass),
-        # then bring the gauges in line with the rebuilt state.
         for state in server._problems.values():
-            if state.status is not ProblemStatus.RUNNING:
-                continue
-            for unit_id in list(state.voting):
-                unit = server._find_unit(state, unit_id)
-                if unit is not None:
-                    server._ensure_vote_supply(state, unit, now, reason="recover")
-        server._g_problems_running.set(len(server.active_problem_ids()))
-        server._g_quarantined.set(len(server.reputation.quarantined_ids()))
-        server._sync_donor_gauges()
+            server._rebalance_votes(state, now, reason="recover")
         if gateway is not None:
             gateway.reconcile(now)
     finally:
-        server.log = real_log
+        _bind_sinks(server, gateway, obs, log)
+        server._problem_spans.clear()  # opened on the scratch tracer
+    server._g_problems_running.set(len(server.active_problem_ids()))
+    server._g_quarantined.set(len(server.reputation.quarantined_ids()))
+    server._sync_donor_gauges()
+    if gateway is not None:
+        gateway._sync_gauges()
     server.log.record(
         now,
         "server.recovered",
@@ -592,10 +576,10 @@ def recover(
         checkpoint_lsn=checkpoint_lsn,
         torn_bytes=torn_bytes,
     )
-    meters.counter("farm.recovery.replayed").inc(replayed)
-    meters.counter("farm.recovery.seconds").inc(time.perf_counter() - started)
+    obs.meters.counter("farm.recovery.replayed").inc(replayed)
+    obs.meters.counter("farm.recovery.seconds").inc(time.perf_counter() - started)
     server.journal = JournalWriter(
-        store, start_lsn=next_lsn, segment_bytes=segment_bytes, meters=meters
+        store, start_lsn=next_lsn, segment_bytes=segment_bytes, meters=obs.meters
     )
     return RecoveryReport(
         restored_problems=restored,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.blobs import iter_blob_refs
-from repro.core.faults import LeaseTable
+from repro.core.faults import Lease, LeaseTable
 from repro.core.integrity import (
     IntegrityPolicy,
     ReputationLedger,
@@ -49,6 +49,14 @@ class ProblemStatus(enum.Enum):
     COMPLETE = "complete"
     FAILED = "failed"
     CANCELLED = "cancelled"
+
+
+#: The journal record (and event-log kind) of each way a problem ends.
+END_RECORDS = {
+    ProblemStatus.COMPLETE: "problem.completed",
+    ProblemStatus.FAILED: "problem.failed",
+    ProblemStatus.CANCELLED: "problem.cancelled",
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,7 +219,6 @@ class TaskFarmServer:
         self.leases = LeaseTable(lease_timeout)
         self.log = log or EventLog()
         self.max_unit_attempts = max_unit_attempts
-        self.obs = obs or Observability()
         self.integrity = integrity or IntegrityPolicy()
         self.pipeline = pipeline or PipelineConfig()
         self.reputation = ReputationLedger()
@@ -224,7 +231,23 @@ class TaskFarmServer:
         self._failures: dict[int, str] = {}
         self._problem_spans: dict[int, Span] = {}
         self._unit_spans: dict[tuple[int, int], Span] = {}
-        meters = self.obs.meters
+        # Which blob keys each donor has already been charged for.
+        # Keyed by donor, not (donor, problem): content addressing makes
+        # equal data identical across problems, so a donor that cached
+        # the database for one search never pays for it again.  Not
+        # checkpointed — a restarted server conservatively re-charges.
+        self._delivered_blobs: dict[str, set[str]] = {}
+        self._bind_obs(obs or Observability())
+
+    def _bind_obs(self, obs: Observability) -> None:
+        """Send every meter, span and :attr:`obs` lookup to *obs*.
+
+        Journal replay runs the live transitions against a scratch
+        bundle and then binds the real one back, so work done before a
+        crash is never counted twice.
+        """
+        self.obs = obs
+        meters = obs.meters
         self._m_units_issued = meters.counter("farm.units.issued")
         self._m_units_completed = meters.counter("farm.units.completed")
         self._m_units_requeued = meters.counter("farm.units.requeued")
@@ -236,9 +259,11 @@ class TaskFarmServer:
         self._m_bytes_out = meters.counter("farm.bytes.out")
         self._m_leases_expired = meters.counter("farm.leases.expired")
         self._m_problems_submitted = meters.counter("farm.problems.submitted")
-        self._m_problems_completed = meters.counter("farm.problems.completed")
-        self._m_problems_failed = meters.counter("farm.problems.failed")
-        self._m_problems_cancelled = meters.counter("farm.problems.cancelled")
+        self._m_problems_ended = {
+            ProblemStatus.COMPLETE: meters.counter("farm.problems.completed"),
+            ProblemStatus.FAILED: meters.counter("farm.problems.failed"),
+            ProblemStatus.CANCELLED: meters.counter("farm.problems.cancelled"),
+        }
         self._g_donors = meters.gauge("farm.donors.registered")
         self._g_donors_busy = meters.gauge("farm.donors.busy")
         self._g_problems_running = meters.gauge("farm.problems.running")
@@ -260,12 +285,6 @@ class TaskFarmServer:
         self._m_blob_deliveries = meters.counter("net.blob.deliveries")
         self._m_blob_bytes = meters.counter("net.blob.bytes")
         self._m_blob_saved = meters.counter("net.blob.bytes.saved")
-        # Which blob keys each donor has already been charged for.
-        # Keyed by donor, not (donor, problem): content addressing makes
-        # equal data identical across problems, so a donor that cached
-        # the database for one search never pays for it again.  Not
-        # checkpointed — a restarted server conservatively re-charges.
-        self._delivered_blobs: dict[str, set[str]] = {}
 
     def _journal(self, kind: str, now: float, **fields: Any) -> None:
         """Append one durable-mutation record to the journal sink.
@@ -452,14 +471,7 @@ class TaskFarmServer:
                     self.reputation.suspicion(donor_id, self.integrity),
                 )
                 if required > 1:
-                    self._journal(
-                        "unit.voting.open",
-                        now,
-                        pid=pid,
-                        uid=unit.unit_id,
-                        required=required,
-                    )
-                    state.voting[unit.unit_id] = _UnitIntegrity(required=required)
+                    self._require_votes(state, unit.unit_id, required, now)
                     if self.integrity.replication == 1:
                         self._m_spot_checks.inc()
             return self._grant(state, unit, donor, now)
@@ -599,16 +611,26 @@ class TaskFarmServer:
                 self._m_blob_bytes.inc(ref.size)
         return inline_bytes, wire_bytes
 
-    def _release_donor_hold(self, result: WorkResult, now: float) -> None:
-        """Drop the submitting donor's lease + bookkeeping for a result
-        that will not be applied (stale problem / already-completed
-        unit), so a depth-limited donor gets its slot back."""
-        self.leases.release(result.problem_id, result.unit_id, result.donor_id)
+    def _refuse(self, result: WorkResult, now: float, kind: str) -> Lease | None:
+        """Log a result that will not be applied as ``unit.<kind>`` and
+        drop the submitting donor's lease, which is returned, so a
+        depth-limited donor gets its slot back."""
+        lease = self.leases.release(
+            result.problem_id, result.unit_id, result.donor_id
+        )
         donor = self._donors.get(result.donor_id)
         if donor is not None:
             donor.end_unit(result.problem_id, result.unit_id)
             donor.last_seen = now
             self._sync_donor_gauges()
+        self.log.record(
+            now,
+            f"unit.{kind}",
+            problem_id=result.problem_id,
+            unit_id=result.unit_id,
+            donor_id=result.donor_id,
+        )
+        return lease
 
     def _eligible(self, state: _ProblemState, unit_id: int, donor_id: str) -> bool:
         """May *donor_id* be issued (a copy of) this unit?
@@ -634,13 +656,19 @@ class TaskFarmServer:
         max_items = self.policy.items_for(
             donor, state.problem.problem_id, remaining=self._remaining_items(state)
         )
+        return self._cut_unit(state, max_items, now)
+
+    def _cut_unit(
+        self, state: _ProblemState, max_items: int, now: float
+    ) -> WorkUnit | None:
+        """Cut the problem's next fresh unit of at most *max_items*."""
         payload = state.problem.data_manager.next_unit(max_items)
         if payload is None:
             return None
         # Fresh cuts are journaled so the unit-id ↔ payload binding
-        # survives a crash: replay calls next_unit(items) in journal
-        # order, which the DataManager contract makes yield the very
-        # same slice, and asserts the lockstep unit id matches.
+        # survives a crash: replay cuts again with the recorded item
+        # count in journal order, which the DataManager contract makes
+        # yield the very same slice, and asserts the unit ids match.
         self._journal(
             "unit.cut",
             now,
@@ -685,41 +713,20 @@ class TaskFarmServer:
         arrive is applied, later ones are logged and dropped.
         """
         state = self._problems.get(result.problem_id)
-        if state is None or state.status is not ProblemStatus.RUNNING:
-            self._release_donor_hold(result, now)
-            self.log.record(
-                now,
-                "unit.stale",
-                problem_id=result.problem_id,
-                unit_id=result.unit_id,
-                donor_id=result.donor_id,
-            )
-            self._m_units_stale.inc()
-            return False
-        if result.unit_id >= state.next_unit_id:
+        if (
+            state is None
+            or state.status is not ProblemStatus.RUNNING
             # A unit id this server never cut: a torn-tail recovery
             # rolled history back past the cut while the result was in
             # flight.  Refuse it — the slice will be re-cut and earn a
             # fresh quorum; folding now would bypass verification.
-            self._release_donor_hold(result, now)
-            self.log.record(
-                now,
-                "unit.stale",
-                problem_id=result.problem_id,
-                unit_id=result.unit_id,
-                donor_id=result.donor_id,
-            )
+            or result.unit_id >= state.next_unit_id
+        ):
+            self._refuse(result, now, "stale")
             self._m_units_stale.inc()
             return False
         if result.unit_id in state.completed_units:
-            self._release_donor_hold(result, now)
-            self.log.record(
-                now,
-                "unit.duplicate",
-                problem_id=result.problem_id,
-                unit_id=result.unit_id,
-                donor_id=result.donor_id,
-            )
+            self._refuse(result, now, "duplicate")
             self._m_units_duplicate.inc()
             # The whole unit was computed twice and this copy lost the
             # race: its items are the price of speculation.
@@ -730,22 +737,8 @@ class TaskFarmServer:
             # A quarantined donor's answer is refused outright — its
             # leases were revoked at quarantine time, but a result can
             # still be in flight when the verdict lands.
-            lease = self.leases.release(
-                result.problem_id, result.unit_id, result.donor_id
-            )
-            donor = self._donors.get(result.donor_id)
-            if donor is not None:
-                donor.end_unit(result.problem_id, result.unit_id)
-                donor.last_seen = now
-            self.log.record(
-                now,
-                "unit.untrusted",
-                problem_id=result.problem_id,
-                unit_id=result.unit_id,
-                donor_id=result.donor_id,
-            )
+            lease = self._refuse(result, now, "untrusted")
             self._m_untrusted.inc()
-            self._sync_donor_gauges()
             if lease is not None:
                 self._recover_unit(lease.unit, now, reason="donor-quarantined")
             return False
@@ -782,9 +775,7 @@ class TaskFarmServer:
             )
             self._m_units_duplicate.inc()
             return False
-        digest = canonical_digest(result.value)
-        self._journal("unit.vote", now, result=result)
-        voting.votes.append(Vote(result.donor_id, digest, result))
+        self._cast_vote(voting, result, now)
         self.log.record(
             now,
             "unit.vote",
@@ -816,28 +807,44 @@ class TaskFarmServer:
                 votes=len(voting.votes),
             )
             if len(voting.votes) >= self.integrity.max_votes:
-                self._fail_problem(
+                self._end_problem(
                     state,
+                    ProblemStatus.FAILED,
                     now,
                     f"unit {result.unit_id}: no quorum after "
                     f"{len(voting.votes)} votes (nondeterministic or "
                     f"hostile results)",
                 )
                 return False
-            voting.required = len(voting.votes) + 1
-            self._journal(
-                "unit.voting.require",
-                now,
-                pid=result.problem_id,
-                uid=result.unit_id,
-                required=voting.required,
-            )
+            self._require_votes(state, result.unit_id, len(voting.votes) + 1, now)
         unit = lease.unit if lease is not None else self._find_unit(
             state, result.unit_id
         )
         if unit is not None:
             self._ensure_vote_supply(state, unit, now, reason="await-quorum")
         return True
+
+    def _require_votes(
+        self, state: _ProblemState, unit_id: int, required: int, now: float
+    ) -> None:
+        """Demand *required* matching votes for a unit: the first demand
+        opens its vote, a later one (after a disagreement) raises it."""
+        voting = state.voting.get(unit_id)
+        kind = "unit.voting.open" if voting is None else "unit.voting.require"
+        pid = state.problem.problem_id
+        self._journal(kind, now, pid=pid, uid=unit_id, required=required)
+        if voting is None:
+            state.voting[unit_id] = _UnitIntegrity(required=required)
+        else:
+            voting.required = required
+
+    def _cast_vote(
+        self, voting: _UnitIntegrity, result: WorkResult, now: float
+    ) -> None:
+        """Add one donor's result to a replicated unit's votes."""
+        digest = canonical_digest(result.value)
+        self._journal("unit.vote", now, result=result)
+        voting.votes.append(Vote(result.donor_id, digest, result))
 
     def _accept_result(
         self, state: _ProblemState, result: WorkResult, now: float
@@ -846,7 +853,8 @@ class TaskFarmServer:
 
         Any other in-flight leases or queued copies of the unit are
         cancelled here; replicas that still arrive later hit the
-        ``completed_units`` duplicate check.
+        ``completed_units`` duplicate check.  Journal replay folds each
+        ``unit.fold`` record through this same method.
         """
         # The fold is the journal's reason to exist: once appended (and
         # fsync'd) the result survives any crash after this line.
@@ -893,7 +901,7 @@ class TaskFarmServer:
             )
 
         if state.problem.data_manager.is_complete():
-            self._complete_problem(state, now)
+            self._end_problem(state, ProblemStatus.COMPLETE, now)
 
     def _settle_votes(
         self,
@@ -906,16 +914,10 @@ class TaskFarmServer:
         """Credit/debit every voter's reputation once quorum is reached."""
         pid = state.problem.problem_id
         for vote in voting.votes:
-            rep = self.reputation.record(vote.donor_id)
             if vote.digest == winning_digest:
-                self._journal("rep", now, donor=vote.donor_id, field="agreements")
-                rep.agreements += 1
+                self._rate(vote.donor_id, "agreements", now)
                 self._m_agreements.inc()
             else:
-                self._journal(
-                    "rep", now, donor=vote.donor_id, field="disagreements"
-                )
-                rep.disagreements += 1
                 self._m_disagreements.inc()
                 self.log.record(
                     now,
@@ -924,7 +926,17 @@ class TaskFarmServer:
                     unit_id=unit_id,
                     donor_id=vote.donor_id,
                 )
-                self._update_reputation(vote.donor_id, now)
+                self._rate(vote.donor_id, "disagreements", now)
+
+    def _rate(self, donor_id: str, field: str, now: float) -> None:
+        """Count one reputation event (``agreements``, ``disagreements``,
+        ``failures`` or ``expiries``); every kind but an agreement
+        re-scores the donor."""
+        self._journal("rep", now, donor=donor_id, field=field)
+        rep = self.reputation.record(donor_id)
+        setattr(rep, field, getattr(rep, field) + 1)
+        if field != "agreements":
+            self._update_reputation(donor_id, now)
 
     def _update_reputation(self, donor_id: str, now: float) -> None:
         """Re-score a donor; on quarantine/blacklist pull its work."""
@@ -1014,17 +1026,16 @@ class TaskFarmServer:
         self._m_units_failed.inc()
         self._sync_donor_gauges()
         if self.integrity.active:
-            self._journal("rep", now, donor=donor_id, field="failures")
-            self.reputation.record(donor_id).failures += 1
-            self._update_reputation(donor_id, now)
+            self._rate(donor_id, "failures", now)
             if state.status is not ProblemStatus.RUNNING:
                 return  # quarantine fallout ended the problem meanwhile
         failed_span = self._unit_spans.pop((problem_id, unit_id), None)
         if failed_span is not None:
             self.obs.tracer.finish(failed_span, now, status="failed", error=error[:100])
         if unit.attempts >= self.max_unit_attempts:
-            self._fail_problem(
+            self._end_problem(
                 state,
+                ProblemStatus.FAILED,
                 now,
                 f"unit {unit_id} failed {unit.attempts} times; last error: {error}",
             )
@@ -1034,32 +1045,6 @@ class TaskFarmServer:
     def failure_reason(self, problem_id: int) -> str | None:
         """Why a FAILED problem failed (None otherwise)."""
         return self._failures.get(problem_id)
-
-    def _fail_problem(self, state: _ProblemState, now: float, reason: str) -> None:
-        self._journal(
-            "problem.failed", now, pid=state.problem.problem_id, reason=reason
-        )
-        state.status = ProblemStatus.FAILED
-        state.completed_at = now
-        self._failures[state.problem.problem_id] = reason
-        for lease in self.leases.outstanding(state.problem.problem_id):
-            self.leases.release(lease.unit.problem_id, lease.unit.unit_id)
-        self._close_unit_spans(state.problem.problem_id, now, "cancelled")
-        state.requeue.clear()
-        state.replicas.clear()
-        state.voting.clear()
-        self.log.record(
-            now,
-            "problem.failed",
-            problem_id=state.problem.problem_id,
-            name=state.problem.name,
-            reason=reason[:500],
-        )
-        self._m_problems_failed.inc()
-        self._g_problems_running.set(len(self.active_problem_ids()))
-        span = self._problem_spans.pop(state.problem.problem_id, None)
-        if span is not None:
-            self.obs.tracer.finish(span, now, status="failed", reason=reason[:100])
 
     def cancel_problem(self, problem_id: int, now: float = 0.0) -> bool:
         """Cancel a running problem; returns False when already ended.
@@ -1073,31 +1058,57 @@ class TaskFarmServer:
         state = self._state(problem_id)
         if state.status is not ProblemStatus.RUNNING:
             return False
-        self._journal("problem.cancelled", now, pid=problem_id)
-        state.status = ProblemStatus.CANCELLED
+        self._end_problem(state, ProblemStatus.CANCELLED, now)
+        return True
+
+    def _end_problem(
+        self,
+        state: _ProblemState,
+        status: ProblemStatus,
+        now: float,
+        reason: str | None = None,
+    ) -> None:
+        """The one way a running problem ends: complete, failed (with
+        *reason*) or cancelled.
+
+        Every outstanding lease is released and its donor's slot freed,
+        queued and voting state is dropped, and open unit spans close.
+        Journal replay ends a problem through this same method.
+        """
+        pid = state.problem.problem_id
+        kind = END_RECORDS[status]
+        failure = {} if reason is None else {"reason": reason}
+        self._journal(kind, now, pid=pid, **failure)
+        state.status = status
         state.completed_at = now
-        for lease in self.leases.outstanding(problem_id):
+        if reason is not None:
+            self._failures[pid] = reason
+        for lease in self.leases.outstanding(pid):
             donor = self._donors.get(lease.donor_id)
             if donor is not None:
-                donor.end_unit(problem_id, lease.unit.unit_id)
-            self.leases.release(problem_id, lease.unit.unit_id, lease.donor_id)
-        self._close_unit_spans(problem_id, now, "cancelled")
+                donor.end_unit(pid, lease.unit.unit_id)
+            self.leases.release(pid, lease.unit.unit_id, lease.donor_id)
+        self._close_unit_spans(pid, now, "cancelled")
         state.requeue.clear()
         state.replicas.clear()
         state.voting.clear()
-        self.log.record(
-            now,
-            "problem.cancelled",
-            problem_id=problem_id,
-            name=state.problem.name,
-        )
-        self._m_problems_cancelled.inc()
+        if status is ProblemStatus.COMPLETE:
+            detail = span_attrs = {
+                "units": state.units_completed,
+                "items": state.items_completed,
+            }
+        elif reason is not None:
+            detail = {"reason": reason[:500]}
+            span_attrs = {"status": "failed", "reason": reason[:100]}
+        else:
+            detail, span_attrs = {}, {"status": "cancelled"}
+        self.log.record(now, kind, problem_id=pid, name=state.problem.name, **detail)
+        self._m_problems_ended[status].inc()
         self._g_problems_running.set(len(self.active_problem_ids()))
         self._sync_donor_gauges()
-        span = self._problem_spans.pop(problem_id, None)
+        span = self._problem_spans.pop(pid, None)
         if span is not None:
-            self.obs.tracer.finish(span, now, status="cancelled")
-        return True
+            self.obs.tracer.finish(span, now, **span_attrs)
 
     def expire_leases(self, now: float) -> int:
         """Requeue every unit whose lease has lapsed; returns the count."""
@@ -1107,9 +1118,7 @@ class TaskFarmServer:
             if donor is not None:
                 donor.end_unit(lease.unit.problem_id, lease.unit.unit_id)
             if self.integrity.active:
-                self._journal("rep", now, donor=lease.donor_id, field="expiries")
-                self.reputation.record(lease.donor_id).expiries += 1
-                self._update_reputation(lease.donor_id, now)
+                self._rate(lease.donor_id, "expiries", now)
             self._recover_unit(lease.unit, now, reason="lease-expired")
         if expired:
             self._m_leases_expired.inc(len(expired))
@@ -1183,6 +1192,17 @@ class TaskFarmServer:
         else:
             self._requeue_unit(unit, now, reason)
 
+    def _rebalance_votes(self, state: _ProblemState, now: float, reason: str) -> None:
+        """Top queued copies up (or trim them down) to each replicated
+        unit's remaining vote requirement — after a checkpoint restore
+        or a journal replay, whose leases died with the old server."""
+        if state.status is not ProblemStatus.RUNNING:
+            return
+        for unit_id in list(state.voting):
+            unit = self._find_unit(state, unit_id)
+            if unit is not None:
+                self._ensure_vote_supply(state, unit, now, reason)
+
     def _ensure_vote_supply(
         self, state: _ProblemState, unit: WorkUnit, now: float, reason: str
     ) -> None:
@@ -1230,35 +1250,6 @@ class TaskFarmServer:
                     unit_id=unit.unit_id,
                     reason=reason,
                 )
-
-    def _complete_problem(self, state: _ProblemState, now: float) -> None:
-        # A verification record: replaying the preceding unit.fold must
-        # already have completed the problem, and recovery checks so.
-        self._journal("problem.completed", now, pid=state.problem.problem_id)
-        state.status = ProblemStatus.COMPLETE
-        state.completed_at = now
-        # Cancel anything still in flight for this problem.
-        for lease in self.leases.outstanding(state.problem.problem_id):
-            self.leases.release(lease.unit.problem_id, lease.unit.unit_id)
-        self._close_unit_spans(state.problem.problem_id, now, "cancelled")
-        state.requeue.clear()
-        state.replicas.clear()
-        state.voting.clear()
-        self.log.record(
-            now,
-            "problem.completed",
-            problem_id=state.problem.problem_id,
-            name=state.problem.name,
-            units=state.units_completed,
-            items=state.items_completed,
-        )
-        self._m_problems_completed.inc()
-        self._g_problems_running.set(len(self.active_problem_ids()))
-        span = self._problem_spans.pop(state.problem.problem_id, None)
-        if span is not None:
-            self.obs.tracer.finish(
-                span, now, units=state.units_completed, items=state.items_completed
-            )
 
     def _state(self, problem_id: int) -> _ProblemState:
         try:

@@ -5,8 +5,29 @@ from __future__ import annotations
 import threading
 from typing import Any
 
+from repro.core.journal import JournalWriter, MemoryStore, read_journal
 from repro.core.problem import Algorithm, DataManager
 from repro.core.workunit import UnitPayload, WorkResult
+
+
+def rewrite_journal(store, upto: str | None = None, extra=()) -> MemoryStore:
+    """A fresh copy of *store*'s journal records.
+
+    With *upto*, the copy ends at the first record of that kind, as if a
+    crash tore away everything after it.  *extra* ``(kind, now,
+    fields)`` records are appended at the end.
+    """
+    records, _, _ = read_journal(store)
+    copy = MemoryStore()
+    writer = JournalWriter(copy)
+    for record in records:
+        fields = {k: v for k, v in record.items() if k not in ("lsn", "kind", "now")}
+        writer.append(record["kind"], record["now"], **fields)
+        if record["kind"] == upto:
+            break
+    for kind, now, fields in extra:
+        writer.append(kind, now, **fields)
+    return copy
 
 
 class RecordingPort:

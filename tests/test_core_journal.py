@@ -44,6 +44,7 @@ from tests.helpers import (
     RangeSumDataManager,
     StagedAlgorithm,
     StagedDataManager,
+    rewrite_journal,
 )
 
 
@@ -597,6 +598,132 @@ class TestRecovery:
             writer.append(record["kind"], record["now"], **fields)
         with pytest.raises(JournalError, match="replay divergence"):
             recover(make_server(), doctored, now=1.0)
+
+
+def problem_facts(server) -> dict:
+    """Every recoverable fact of every problem, by problem id."""
+    return {
+        pid: (
+            state.status,
+            state.completed_at,
+            state.next_unit_id,
+            state.units_completed,
+            state.items_completed,
+            set(state.completed_units),
+            server.failure_reason(pid),
+        )
+        for pid, state in server._problems.items()
+    }
+
+
+class TestReplayThroughLiveTransitions:
+    """Replay re-runs the transitions that wrote each record: the
+    rebuilt server equals the live one, and nothing of it is counted,
+    traced or logged a second time."""
+
+    @staticmethod
+    def run_every_ending(store):
+        """A journaled run with one problem of each ending plus one
+        still running: completed, failed (a poison unit), cancelled."""
+        server = make_server(store)
+        pids = {
+            name: server.submit(
+                Problem(name, RangeSumDataManager(30), RangeSumAlgorithm()), 0.0
+            )
+            for name in ("complete", "poison", "cancel", "open")
+        }
+        server.register_donor("d0", 0.0)
+        t = 0.0
+        for step in range(200):
+            if step == 3:
+                server.cancel_problem(pids["cancel"], (t := t + 0.1))
+            ending = (server.status(pids["complete"]), server.status(pids["poison"]))
+            if ProblemStatus.RUNNING not in ending:
+                return server, pids
+            a = server.request_work("d0", (t := t + 0.1))
+            if a.problem_id == pids["poison"]:
+                server.report_failure(a.problem_id, a.unit_id, "d0", "boom", t)
+            elif a.problem_id != pids["open"] or a.unit_id == 0:
+                server.submit_result(compute(a), (t := t + 0.1))
+            # Later units of "open" stay leased: it is still running.
+        raise AssertionError("the run did not settle")
+
+    @pytest.mark.parametrize("repeat_cancel", [False, True])
+    def test_replay_rebuilds_every_ending_exactly(self, repeat_cancel):
+        """Also when the journal repeats an ending: a terminal self-loop
+        replays as a no-op, never a mutation."""
+        store = MemoryStore()
+        server, pids = self.run_every_ending(store)
+        statuses = {name: server.status(pid) for name, pid in pids.items()}
+        assert statuses == {
+            "complete": ProblemStatus.COMPLETE,
+            "poison": ProblemStatus.FAILED,
+            "cancel": ProblemStatus.CANCELLED,
+            "open": ProblemStatus.RUNNING,
+        }
+        if repeat_cancel:
+            store = rewrite_journal(
+                store, extra=[("problem.cancelled", 50.0, {"pid": pids["cancel"]})]
+            )
+        fresh = make_server()
+        recover(fresh, store, now=100.0)
+        assert problem_facts(fresh) == problem_facts(server)
+        assert fresh.final_result(pids["complete"]) == sum(range(30))
+
+    def test_replay_counts_traces_and_logs_nothing(self):
+        store = MemoryStore()
+        _server, pids = self.run_every_ending(store)
+        fresh = make_server()
+        recover(fresh, store, now=100.0)
+        snap = fresh.obs.meters.snapshot()
+        counted = {name for name, value in snap["counters"].items() if value}
+        assert counted == {"farm.recovery.replayed", "farm.recovery.seconds"}
+        assert fresh.obs.tracer.finished_spans() == []
+        assert fresh.obs.tracer.open_spans() == []
+        assert [event.kind for event in fresh.log] == ["server.recovered"]
+        # Gauges describe the recovered state, not the replay.
+        assert snap["gauges"]["farm.problems.running"] == 1
+        assert snap["gauges"]["farm.donors.registered"] == 1
+        # The live transitions count again from here on.
+        drive_to_completion(fresh, pids["open"], t=200.0)
+        counters = fresh.obs.meters.snapshot()["counters"]
+        assert counters["farm.problems.completed"] == 1
+        assert fresh.obs.tracer.open_spans() == []
+
+    def test_donor_registered_after_checkpoint_recovers(self):
+        """Replay re-runs a post-checkpoint registration at its
+        pre-crash time, after the restore ran at the recovery time; no
+        log that demands causal order may see both."""
+        store = MemoryStore()
+        server = make_server(store)
+        pid = server.submit(
+            Problem("sum", RangeSumDataManager(30), RangeSumAlgorithm()), 0.0
+        )
+        lsn = server.journal.last_lsn
+        checkpoint = dumps_checkpoint(server, 1.0, journal_lsn=lsn)
+        server.register_donor("late", 2.0)
+        fresh = make_server()
+        recover(fresh, store, checkpoint=checkpoint, now=3.0)
+        assert fresh.donor_ids() == ["late"]
+        drive_to_completion(fresh, pid)
+        assert fresh.final_result(pid) == sum(range(30))
+
+    @pytest.mark.parametrize(
+        ("name", "kind", "fields"),
+        [
+            ("complete", "problem.failed", {"reason": "late"}),
+            ("cancel", "problem.completed", {}),
+            ("open", "problem.completed", {}),
+        ],
+    )
+    def test_conflicting_ending_diverges(self, name, kind, fields):
+        store = MemoryStore()
+        _server, pids = self.run_every_ending(store)
+        doctored = rewrite_journal(
+            store, extra=[(kind, 50.0, {"pid": pids[name], **fields})]
+        )
+        with pytest.raises(JournalError, match="replay divergence"):
+            recover(make_server(), doctored, now=100.0)
 
 
 # -- the hypothesis property ---------------------------------------------

@@ -40,7 +40,13 @@ from repro.core.gateway import (
     parse_tenants,
 )
 from repro.core.integrity import IntegrityPolicy, canonical_digest
-from repro.core.journal import JournalError, JournalWriter, MemoryStore, recover
+from repro.core.journal import (
+    JournalError,
+    JournalWriter,
+    MemoryStore,
+    compact,
+    recover,
+)
 from repro.core.checkpoint import dumps_checkpoint
 from repro.core.problem import Problem
 from repro.core.scheduler import FixedGranularity, ProblemRoundRobin
@@ -48,7 +54,7 @@ from repro.core.server import ProblemStatus, TaskFarmServer
 from repro.core.workunit import WorkResult
 from repro.rmi.datachannel import DataChannelServer
 from repro.util.config import ConfigError, ConfigFile
-from tests.helpers import RangeSumAlgorithm, RangeSumDataManager
+from tests.helpers import RangeSumAlgorithm, RangeSumDataManager, rewrite_journal
 
 
 def make_server(**kwargs) -> TaskFarmServer:
@@ -875,6 +881,36 @@ class TestGatewayDurability:
             if fresh_gateway.job_status(job_id)["status"] == "done":
                 assert fresh_gateway.job_result(job_id) == sum(range(20))
 
+    @staticmethod
+    def _recover_torn_after(store, kind):
+        """Recover from *store*'s journal torn right after its first
+        *kind* record, before the server record that followed it."""
+        fresh = TaskFarmServer(policy=FixedGranularity(5), lease_timeout=100.0)
+        fresh_gateway = JobGateway(fresh)
+        torn = rewrite_journal(store, upto=kind)
+        recover(fresh, torn, now=20.0, gateway=fresh_gateway)
+        return fresh, fresh_gateway
+
+    def test_torn_tail_after_job_start_still_submits_the_problem(self):
+        """Replaying a job start submits its problem, so losing the
+        server's own problem.submit record loses nothing."""
+        store, _server, _gateway = _driven_gateway()
+        fresh, fresh_gateway = self._recover_torn_after(store, "gateway.job.start")
+        status = fresh_gateway.job_status(1)
+        assert status["status"] == "running"
+        assert fresh.status(status["problem_id"]) is ProblemStatus.RUNNING
+        drive_jobs_to_completion(fresh, fresh_gateway, t=30.0)
+        assert fresh_gateway.job_result(1) == sum(range(20))
+
+    def test_torn_tail_after_job_cancel_still_cancels_the_problem(self):
+        """Replaying a running job's cancel cancels its problem, so no
+        donor keeps computing it when problem.cancelled was lost."""
+        store, _server, _gateway = _driven_gateway()
+        fresh, fresh_gateway = self._recover_torn_after(store, "gateway.job.cancel")
+        status = fresh_gateway.job_status(4)
+        assert status["status"] == "cancelled"
+        assert fresh.status(status["problem_id"]) is ProblemStatus.CANCELLED
+
     def test_gateway_journal_without_gateway_fails_loudly(self):
         store, _server, _gateway = _driven_gateway()
         fresh = TaskFarmServer(policy=FixedGranularity(5), lease_timeout=100.0)
@@ -889,3 +925,129 @@ class TestGatewayDurability:
         fresh = TaskFarmServer(policy=FixedGranularity(5), lease_timeout=100.0)
         with pytest.raises(JournalError, match="gateway"):
             recover(fresh, store, checkpoint=blob, now=20.0)
+
+
+# ---------------------------------------------------------------------------
+# Replay runs the live transitions: a whole journal rebuilds the live state
+
+
+_OPS = st.sampled_from(
+    ["submit", "fold", "lie", "fail", "hold", "late", "redo", "expire", "cancel",
+     "pump", "churn", "checkpoint"]
+)
+
+
+def _live_facts(server, gateway) -> dict:
+    """The durable state of a server + gateway, identity-free.
+
+    Terminal job times are derived at reconcile time rather than
+    journaled, so jobs are compared by status and start only.
+    """
+    jobs = {
+        job_id: (job.tenant_id, job.status, job.problem_id, job.started_at)
+        for job_id, job in gateway._jobs.items()
+    }
+    problems = {
+        pid: (
+            state.status,
+            state.completed_at,
+            state.next_unit_id,
+            state.items_completed,
+            frozenset(state.completed_units),
+            server.failure_reason(pid),
+            {uid: len(v.votes) for uid, v in state.voting.items()},
+        )
+        for pid, state in server._problems.items()
+    }
+    delivered = {t: gateway.scheduler.delivered_items(t) for t in gateway.tenant_ids()}
+    return {
+        "jobs": jobs,
+        "problems": problems,
+        "tenants": gateway.snapshot()["tenants"],
+        "delivered": delivered,
+        "reputation": server.reputation.dump(),
+    }
+
+
+class TestReplayEqualsLive:
+    @given(
+        ops=st.lists(st.tuples(_OPS, st.integers(0, 5)), min_size=30, max_size=80),
+        replicated=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=VERDICT_SUPPRESS)
+    def test_whole_journal_rebuilds_live_state(self, ops, replicated):
+        """Any run of submits, folds, lies, failures, expiries, cancels,
+        churn and checkpoints, recovered from its last checkpoint plus
+        the journal tail, rebuilds the same problems, jobs, tenant
+        accounting and reputations."""
+        integrity = IntegrityPolicy(replication=2) if replicated else None
+        store = MemoryStore()
+        server = make_server(
+            policy=FixedGranularity(5),
+            integrity=integrity,
+            max_unit_attempts=2,
+            journal=JournalWriter(store),
+        )
+        tenants = [
+            TenantConfig("a", max_running=2, max_pending=99),
+            TenantConfig("b", weight=2.0, max_running=1, max_pending=99),
+        ]
+        gateway = JobGateway(server, tenants)
+        donors = ["d0", "d1", "d2"]
+        for donor in donors:
+            server.register_donor(donor, 0.0)
+        held, sent = [], []
+        checkpoint = None
+        t = 0.0
+        for op, k in ops:
+            t += 1.0
+            donor = donors[k % len(donors)]
+            if op == "submit":
+                gateway.submit_job("ab"[k % 2], sum_problem(5 + 5 * (k % 3)), now=t)
+            elif op in ("fold", "lie", "fail", "hold"):
+                a = server.request_work(donor, t)
+                if a is None:
+                    continue
+                if op == "hold":
+                    held.append((donor, a))
+                elif op == "fail":
+                    server.report_failure(a.problem_id, a.unit_id, donor, "boom", t)
+                else:
+                    value = compute(a).value if op == "fold" else -1
+                    result = WorkResult(
+                        a.problem_id, a.unit_id, value, donor, 1.0, a.items
+                    )
+                    server.submit_result(result, t)
+                    sent.append(result)
+            elif op == "late" and held:
+                donor, a = held.pop(k % len(held))
+                sent.append(compute(a, donor))
+                server.submit_result(sent[-1], t)
+            elif op == "redo" and sent:
+                server.submit_result(sent[k % len(sent)], t)
+            elif op == "expire":
+                server.expire_leases((t := t + server.leases.timeout))
+            elif op == "cancel" and gateway.job_ids():
+                gateway.cancel_job(gateway.job_ids()[k % len(gateway.job_ids())], t)
+            elif op == "churn":
+                server.deregister_donor(donor, t)
+                server.register_donor(donor, t)
+            elif op == "pump":
+                gateway.pump(t)
+            elif op == "checkpoint":
+                lsn = server.journal.last_lsn
+                checkpoint = dumps_checkpoint(
+                    server, t, journal_lsn=lsn, gateway=gateway
+                )
+                server.journal.rotate()
+                compact(store, lsn)
+        gateway.pump(t + 1.0)
+
+        fresh = make_server(
+            policy=FixedGranularity(5), integrity=integrity, max_unit_attempts=2
+        )
+        fresh_gateway = JobGateway(fresh)
+        recover(fresh, store, checkpoint, now=t + 1.0, gateway=fresh_gateway)
+        assert _live_facts(fresh, fresh_gateway) == _live_facts(server, gateway)
+        if checkpoint is None:  # a checkpoint holds no donors: they re-register
+            assert fresh.donor_ids() == server.donor_ids()

@@ -244,6 +244,7 @@ class ServerFacade:
 
     def submit_job(self, tenant_id: str, problem: Problem) -> dict:
         from repro.core.gateway import AdmissionError
+        from repro.core.journal import JournalError
 
         with self._lock:
             if self._gateway is None:
@@ -262,7 +263,7 @@ class ServerFacade:
                     "retry_after": exc.retry_after,
                     "reason": str(exc),
                 }
-            except (KeyError, ValueError) as exc:
+            except (KeyError, ValueError, JournalError) as exc:
                 return {"error": str(exc)}
             return {"accepted": True, "job_id": job_id}
 

@@ -73,6 +73,13 @@ class JobStatus(enum.Enum):
         return self in (JobStatus.QUEUED, JobStatus.RUNNING)
 
 
+#: Bytes a ``gateway.job.submit`` record must leave under the journal's
+#: frame cap.  The ``problem.submit`` record the job's start writes
+#: carries the same pristine problem with fewer fields; only its LSN can
+#: pickle longer (by at most a few bytes), so a job the journal admits
+#: can never be refused at start, after its start record.
+SUBMIT_HEADROOM = 1024
+
 #: The job status a finished problem's status becomes.
 _JOB_ENDINGS = {
     ProblemStatus.COMPLETE: JobStatus.DONE,
@@ -506,6 +513,7 @@ class JobGateway:
         self._journal(
             "gateway.job.submit",
             now,
+            headroom=SUBMIT_HEADROOM,
             job_id=job_id,
             tenant=tenant_id,
             problem=problem,

@@ -61,6 +61,8 @@ _HEADER = MAGIC + struct.pack("<I", SEGMENT_VERSION)
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
 #: Reject frames whose length field claims more than this — a torn or
 #: overwritten length would otherwise make the reader swallow garbage.
+#: The writer refuses records over the same cap, so every frame it
+#: writes is one the reader accepts.
 _MAX_FRAME_BYTES = 64 * 1024 * 1024
 DEFAULT_SEGMENT_BYTES = 256 * 1024
 _END_STATUS = {kind: status for status, kind in END_RECORDS.items()}
@@ -230,9 +232,22 @@ class JournalWriter:
         when nothing has been written yet)."""
         return self.next_lsn - 1
 
-    def append(self, kind: str, now: float, **fields: Any) -> int:
+    def append(self, kind: str, now: float, headroom: int = 0, **fields: Any) -> int:
+        """Write and fsync one record; returns its LSN.
+
+        Raises :class:`JournalError`, writing nothing, when the record
+        would leave less than *headroom* bytes under the frame cap —
+        the reader would reject it as corruption, losing an acked
+        mutation.
+        """
         record = {"lsn": self.next_lsn, "kind": kind, "now": now, **fields}
         payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+        limit = _MAX_FRAME_BYTES - headroom
+        if len(payload) > limit:
+            raise JournalError(
+                f"{kind} record of {len(payload):,} bytes exceeds the "
+                f"journal's {limit:,}-byte frame cap"
+            )
         frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
         if self._segment is None or self._segment_size >= self.segment_bytes:
             self._open_segment()

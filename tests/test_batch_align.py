@@ -13,17 +13,19 @@ from hypothesis import strategies as st
 from repro.apps.dsearch import DSearchAlgorithm, DSearchConfig, build_problem
 from repro.apps.dsearch.translated import build_translated_problem
 from repro.bio.align.banded import banded_global_score
+from repro.bio.align import batch
 from repro.bio.align.batch import (
     BucketPlan,
     SubjectBucket,
     banded_model_cells,
     batched_scores,
     plan_buckets,
+    sweep_dtype,
     use_batched,
 )
 from repro.bio.align.hits import Hit, TopK
 from repro.bio.align.nw import needleman_wunsch_score
-from repro.bio.align.scoring import blosum62, dna_scheme
+from repro.bio.align.scoring import ScoringScheme, blosum62, dna_scheme
 from repro.bio.align.sw import smith_waterman_score
 from repro.bio.seq import DNA, PROTEIN
 from repro.bio.seq.generate import random_sequence, seeded_database
@@ -120,6 +122,132 @@ class TestBatchedExactness:
             SubjectBucket(BucketPlan((0,), (0,), 0), [empty])
         with pytest.raises(ValueError, match="alphabet"):
             SubjectBucket(_full_plan([10, 12]), [subjects[0], protein_query])
+
+
+def _variants(queries, both):
+    return [
+        v for q in queries for v in ([q, q.reverse_complement()] if both else [q])
+    ]
+
+
+def _assert_exact(got, variants, bucket, subjects, scheme, mode, band):
+    """*got* equals the float64 sweep run one variant at a time, and the
+    scalar kernels, with ``==``."""
+    local = mode == "sw"
+    band_arg = band if mode == "banded" else None
+    for vi, variant in enumerate(variants):
+        ref = batched_scores(
+            [variant], bucket, scheme, local=local, band=band_arg, dtype=np.float64
+        )[0]
+        assert np.array_equal(got[vi], ref)
+        for si, subject in enumerate(subjects):
+            assert got[vi, si] == _scalar(variant, subject, scheme, mode, band)
+
+
+class TestStackedIntegerSweep:
+    """One sweep per bucket for all of a unit's equal-length queries, in
+    the narrowest exact dtype, equals today's float64 per-query sweep."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 30),
+        n_queries=st.integers(1, 4),
+        lengths=st.lists(st.integers(1, 50), min_size=2, max_size=8),
+        mode=st.sampled_from(["sw", "nw", "banded"]),
+        protein=st.booleans(),
+        both=st.booleans(),
+        band=st.integers(0, 8),
+    )
+    def test_stacked_equals_float_per_query_and_scalar(
+        self, seed, m, n_queries, lengths, mode, protein, both, band
+    ):
+        alphabet = PROTEIN if protein else DNA
+        scheme = blosum62() if protein else dna_scheme()
+        both = both and not protein
+        rng = np.random.default_rng(seed)
+        queries = [random_sequence(f"q{k}", m, alphabet, rng) for k in range(n_queries)]
+        subjects = [
+            random_sequence(f"s{i}", length, alphabet, rng)
+            for i, length in enumerate(lengths)
+        ]
+        bucket = SubjectBucket(_full_plan(lengths), subjects)
+        banded = mode == "banded"
+        assert sweep_dtype(scheme, m, max(lengths), banded)[0] == np.int16
+        variants = _variants(queries, both)
+        got = batched_scores(
+            variants, bucket, scheme, local=(mode == "sw"),
+            band=band if banded else None,
+        )
+        assert got.dtype == np.float64
+        _assert_exact(got, variants, bucket, subjects, scheme, mode, band)
+
+    def test_chunked_stack_equals_one_sweep(self, monkeypatch):
+        scheme = dna_scheme()
+        rng = np.random.default_rng(3)
+        queries = [random_sequence(f"q{k}", 25, DNA, rng) for k in range(5)]
+        lengths = [30, 34, 40]
+        subjects = [
+            random_sequence(f"s{i}", n, DNA, rng) for i, n in enumerate(lengths)
+        ]
+        bucket = SubjectBucket(_full_plan(lengths), subjects)
+        variants = _variants(queries, both=True)
+        whole = batched_scores(variants, bucket, scheme, local=True)
+        monkeypatch.setattr(batch, "MAX_SWEEP_BYTES", 1)  # one variant per chunk
+        chunked = batched_scores(variants, bucket, scheme, local=True)
+        assert np.array_equal(chunked, whole)
+
+    @pytest.mark.parametrize(
+        "scheme, m, lengths, mode, want",
+        [
+            # The benchmark's shape: 300-nt queries, DNA 5/-4/-10/-1.
+            (dna_scheme(), 300, [250, 300, 400], "sw", np.int16),
+            (blosum62(), 40, [60, 80], "nw", np.int16),
+            # Long enough to break the int16 bound.
+            (dna_scheme(), 40, [3000, 2990], "sw", np.int32),
+            (dna_scheme(), 40, [2800, 2790], "nw", np.int32),
+            # Banded: the sentinel's room and drift cost int16 sooner.
+            (dna_scheme(), 40, [1400, 1390], "banded", np.int32),
+            # A non-integer score always sweeps in float64.
+            (dna_scheme(match=5.5), 30, [40, 45], "sw", np.float64),
+            (dna_scheme(gap_extend=-0.5), 30, [40, 45], "banded", np.float64),
+        ],
+    )
+    def test_dtype_rule_boundaries_stay_exact(self, scheme, m, lengths, mode, want):
+        banded = mode == "banded"
+        dtype, _ = sweep_dtype(scheme, m, max(lengths), banded)
+        assert dtype == want
+        rng = np.random.default_rng(m + len(lengths))
+        queries = [random_sequence(f"q{k}", m, scheme.alphabet, rng) for k in range(2)]
+        subjects = [
+            random_sequence(f"s{i}", n, scheme.alphabet, rng)
+            for i, n in enumerate(lengths)
+        ]
+        bucket = SubjectBucket(_full_plan(lengths), subjects)
+        got = batched_scores(
+            queries, bucket, scheme, local=(mode == "sw"), band=8 if banded else None
+        )
+        _assert_exact(got, queries, bucket, subjects, scheme, mode, 8)
+
+    def test_dtype_rule(self):
+        dna = dna_scheme()
+        # int16 exactly while the bound (with its banded margin) fits.
+        assert sweep_dtype(dna, 300, 2454)[0] == np.int16
+        assert sweep_dtype(dna, 300, 2455)[0] == np.int32
+        assert sweep_dtype(dna, 300, 951, banded=True)[0] == np.int16
+        assert sweep_dtype(dna, 300, 952, banded=True)[0] == np.int32
+        assert sweep_dtype(dna, 10**6, 10**8)[0] == np.int32
+        assert sweep_dtype(dna, 10**6, 10**9)[0] == np.float64
+        _, neg = sweep_dtype(dna, 300, 400)
+        assert neg < 0 and float(neg).is_integer()
+        matrix = dna.matrix.copy()
+        matrix[0, 0] = np.inf
+        inf_scheme = ScoringScheme("inf", DNA, matrix)
+        assert sweep_dtype(inf_scheme, 10, 10)[0] == np.float64
+        with pytest.raises(ValueError, match="float64"):
+            query, subjects = _make_seqs(1, 10, [10, 12], DNA)
+            bucket = SubjectBucket(_full_plan([10, 12]), subjects)
+            batched_scores([query], bucket, dna, local=True, dtype=np.int16)
 
 
 class TestPlanBuckets:
@@ -256,6 +384,102 @@ class TestCostModel:
         # band widens to |100-10|=90 > matrix: full 100×10 sweep.
         assert cost == 100 * 10
         assert banded_model_cells(100, [10], 2) == 100 * 10
+
+
+def _per_query_meters(cfg, queries, subjects) -> dict:
+    """``farm.align.*`` totals as charged when every query swept every
+    bucket on its own — what stacking must keep reporting."""
+    plans = plan_buckets([len(s) for s in subjects], cfg.batch_waste_cap)
+    nvar = 2 if cfg.both_strands else 1
+    want: dict = {}
+
+    def add(name, value):
+        want[name] = want.get(name, 0.0) + value
+
+    for query in queries:
+        m = len(query)
+        for plan in plans:
+            if use_batched(plan, m, cfg.algorithm, cfg.band):
+                add("farm.align.cells.effective", nvar * plan.effective_cells(m))
+                add("farm.align.cells.padded", nvar * plan.padded_cells(m))
+                add("farm.align.buckets.batched", 1.0)
+            else:
+                if cfg.algorithm == "banded":
+                    filled = nvar * banded_model_cells(m, plan.lengths, cfg.band)
+                else:
+                    filled = nvar * plan.effective_cells(m)
+                add("farm.align.cells.effective", filled)
+                add("farm.align.cells.padded", filled)
+                add("farm.align.pairs.scalar", float(plan.size))
+    return want
+
+
+class TestStackedSearch:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        query_lengths=st.lists(st.sampled_from([20, 35, 36]), min_size=1, max_size=5),
+        db_lengths=st.lists(st.integers(10, 90), min_size=1, max_size=25),
+        algorithm=st.sampled_from(["sw", "nw", "banded"]),
+        both_strands=st.booleans(),
+    )
+    def test_hits_and_unit_meters_match_per_query_search(
+        self, seed, query_lengths, db_lengths, algorithm, both_strands
+    ):
+        rng = np.random.default_rng(seed)
+        queries = [
+            random_sequence(f"q{k}", length, DNA, rng)
+            for k, length in enumerate(query_lengths)
+        ]
+        database = [
+            random_sequence(f"d{i:02d}", length, DNA, rng)
+            for i, length in enumerate(db_lengths)
+        ]
+        kwargs = dict(
+            algorithm=algorithm, both_strands=both_strands, band=6, top_hits=4
+        )
+        cfg = DSearchConfig(batch=True, **kwargs)
+        payload = (queries, database)
+        with unitstats.collect() as stats:
+            got = DSearchAlgorithm(cfg).compute(payload)
+        assert got == DSearchAlgorithm(DSearchConfig(batch=False, **kwargs)).compute(
+            payload
+        )
+        assert stats == _per_query_meters(cfg, queries, database)
+
+    def test_protein_mixed_lengths(self):
+        rng = np.random.default_rng(29)
+        queries = [random_sequence(f"p{k}", n, PROTEIN, rng) for k, n in
+                   enumerate([30, 45, 30, 45, 60])]
+        database = [
+            random_sequence(f"d{i:02d}", int(n), PROTEIN, rng)
+            for i, n in enumerate(rng.integers(20, 120, size=30))
+        ]
+        for algorithm in ("sw", "nw", "banded"):
+            kwargs = dict(scoring="blosum62", algorithm=algorithm, band=10, top_hits=5)
+            cfg = DSearchConfig(batch=True, **kwargs)
+            with unitstats.collect() as stats:
+                got = DSearchAlgorithm(cfg).compute((queries, database))
+            want = DSearchAlgorithm(DSearchConfig(batch=False, **kwargs)).compute(
+                (queries, database)
+            )
+            assert got == want
+            assert stats == _per_query_meters(cfg, queries, database)
+
+    def test_batched_slice_never_widens_subject_codes(self):
+        rng = np.random.default_rng(41)
+        queries = [random_sequence(f"q{k}", 40, DNA, rng) for k in range(3)]
+        database = [
+            random_sequence(f"d{i:02d}", int(n), DNA, rng)
+            for i, n in enumerate(rng.integers(50, 60, size=24))
+        ]
+        cfg = DSearchConfig(both_strands=True, top_hits=3)
+        plans = plan_buckets([len(s) for s in database], cfg.batch_waste_cap)
+        assert all(use_batched(p, 40, cfg.algorithm, cfg.band) for p in plans)
+        with unitstats.collect() as stats:
+            DSearchAlgorithm(cfg).compute((queries, database))
+        assert "farm.align.pairs.scalar" not in stats
+        assert all(subject._icodes is None for subject in database)
 
 
 class TestSearchEquivalence:

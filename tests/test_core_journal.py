@@ -24,6 +24,7 @@ from repro.core.checkpoint import (
     loads_checkpoint,
     parse_checkpoint,
 )
+from repro.core import journal as journal_module
 from repro.core.integrity import IntegrityPolicy
 from repro.core.journal import (
     DirStore,
@@ -217,6 +218,81 @@ class TestFraming:
         disk_records, disk_next, disk_torn = read_journal(disk)
         assert mem_records == disk_records
         assert (mem_next, mem_torn) == (disk_next, disk_torn)
+
+
+def record_bytes(writer, kind, now, **fields) -> int:
+    """Pickled size of the record *writer* would append next."""
+    record = {"lsn": writer.next_lsn, "kind": kind, "now": now, **fields}
+    return len(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def store_bytes(store) -> dict:
+    return {name: bytes(store.read(name)) for name in store.names()}
+
+
+class TestFrameCap:
+    """Writer and reader share one frame cap: a record the reader would
+    reject (as corruption, or as a torn tail) is never written."""
+
+    def test_record_one_byte_over_cap_refused(self, monkeypatch):
+        store = MemoryStore()
+        writer = JournalWriter(store)
+        writer.append("a", 0.0)
+        size = record_bytes(writer, "b", 1.0, blob=b"x" * 500)
+        before = store_bytes(store)
+        monkeypatch.setattr(journal_module, "_MAX_FRAME_BYTES", size - 1)
+        with pytest.raises(JournalError, match="frame cap"):
+            writer.append("b", 1.0, blob=b"x" * 500)
+        assert store_bytes(store) == before and writer.next_lsn == 2
+        monkeypatch.setattr(journal_module, "_MAX_FRAME_BYTES", size)
+        assert writer.append("b", 1.0, blob=b"x" * 500) == 2
+        records, next_lsn, torn = read_journal(store)
+        assert [r["kind"] for r in records] == ["a", "b"]
+        assert next_lsn == 3 and torn == 0
+
+    def test_headroom_lowers_the_cap(self, monkeypatch):
+        writer = JournalWriter(MemoryStore())
+        size = record_bytes(writer, "a", 0.0)
+        monkeypatch.setattr(journal_module, "_MAX_FRAME_BYTES", size + 10)
+        with pytest.raises(JournalError):
+            writer.append("a", 0.0, headroom=11)
+        assert writer.append("a", 0.0, headroom=10) == 1
+
+    def test_refused_submit_leaves_server_unchanged(self, monkeypatch):
+        store = MemoryStore()
+        server = make_server(store)
+        server.register_donor("d0", 0.0)
+        problem = Problem("big", RangeSumDataManager(50), RangeSumAlgorithm())
+        size = record_bytes(server.journal, "problem.submit", 1.0, problem=problem)
+        before = store_bytes(store)
+        monkeypatch.setattr(journal_module, "_MAX_FRAME_BYTES", size - 1)
+        with pytest.raises(JournalError):
+            server.submit(problem, 1.0)
+        assert problem.problem_id not in server._problems
+        assert server.active_problem_ids() == []
+        assert store_bytes(store) == before and server.journal.next_lsn == 2
+        # At exactly the cap the same submit is accepted and recoverable.
+        monkeypatch.setattr(journal_module, "_MAX_FRAME_BYTES", size)
+        pid = server.submit(problem, 1.0)
+        fresh = make_server()
+        recover(fresh, store, now=2.0)
+        assert fresh.status(pid) is ProblemStatus.RUNNING
+        drive_to_completion(fresh, pid)
+        assert fresh.final_result(pid) == sum(range(50))
+
+    def test_oversize_tail_frame_still_truncated_as_torn(self, monkeypatch):
+        store = MemoryStore()
+        writer = JournalWriter(store)
+        writer.append("a", 0.0)
+        writer.append("b", 0.0, blob=b"x" * 500)
+        # A frame over the cap can no longer be written; one already on
+        # disk (an older writer, or a torn length field) at the tail
+        # reads as a crash mid-write, exactly as before.
+        monkeypatch.setattr(journal_module, "_MAX_FRAME_BYTES", 400)
+        records, next_lsn, torn = read_journal(store)
+        assert [r["kind"] for r in records] == ["a"]
+        assert next_lsn == 2 and torn > 500
+        assert read_journal(store)[2] == 0  # truncated physically
 
 
 class TestPowerLossOrder:

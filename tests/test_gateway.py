@@ -16,6 +16,8 @@ The headline properties:
   checkpoint + tail) restores its queue and tenant accounting exactly.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,7 +33,9 @@ from repro.bio.seq import DNA
 from repro.bio.seq.generate import random_sequence, seeded_database
 from repro.cluster.local import ServerFacade
 from repro.cluster.sim import SimCluster, heterogeneous_pool, homogeneous_pool
+from repro.core import journal as journal_module
 from repro.core.gateway import (
+    SUBMIT_HEADROOM,
     AdmissionError,
     JobGateway,
     JobStatus,
@@ -842,6 +846,76 @@ def _assert_same_gateway(fresh, original):
         assert fresh.scheduler.delivered_items(
             tenant
         ) == original.scheduler.delivered_items(tenant)
+
+
+class TestJournalFrameCap:
+    """An oversize job is refused at admission, before any record is
+    written — never at start, after its ``gateway.job.start`` record."""
+
+    @staticmethod
+    def _journaled():
+        store = MemoryStore()
+        server = make_server(journal=JournalWriter(store))
+        gateway = JobGateway(server, [TenantConfig("a")])
+        return store, server, gateway
+
+    @staticmethod
+    def _submit_record_bytes(server, gateway, problem, now) -> int:
+        record = {
+            "lsn": server.journal.next_lsn,
+            "kind": "gateway.job.submit",
+            "now": now,
+            "job_id": gateway._next_job_id,
+            "tenant": "a",
+            "problem": problem,
+        }
+        return len(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+
+    def test_one_byte_over_refused_with_state_unchanged(self, monkeypatch):
+        store, server, gateway = self._journaled()
+        problem = sum_problem(20)
+        size = self._submit_record_bytes(server, gateway, problem, 1.0)
+        before = (
+            _comparable(gateway.dump()),
+            dict(server._problems),
+            {name: bytes(store.read(name)) for name in store.names()},
+        )
+        monkeypatch.setattr(
+            journal_module, "_MAX_FRAME_BYTES", size + SUBMIT_HEADROOM - 1
+        )
+        with pytest.raises(JournalError, match="frame cap"):
+            gateway.submit_job("a", problem, now=1.0)
+        after = (
+            _comparable(gateway.dump()),
+            dict(server._problems),
+            {name: bytes(store.read(name)) for name in store.names()},
+        )
+        assert after == before
+
+    def test_admitted_at_the_limit_starts_and_recovers(self, monkeypatch):
+        store, server, gateway = self._journaled()
+        problem = sum_problem(20)
+        size = self._submit_record_bytes(server, gateway, problem, 1.0)
+        monkeypatch.setattr(
+            journal_module, "_MAX_FRAME_BYTES", size + SUBMIT_HEADROOM
+        )
+        job_id = gateway.submit_job("a", problem, now=1.0)
+        assert gateway.job_status(job_id)["status"] == "running"
+        assert server.status(problem.problem_id) is ProblemStatus.RUNNING
+        fresh = make_server()
+        fresh_gateway = JobGateway(fresh)
+        recover(fresh, store, now=2.0, gateway=fresh_gateway)
+        _assert_same_gateway(fresh_gateway, gateway)
+        drive_jobs_to_completion(fresh, fresh_gateway, t=3.0)
+        assert fresh_gateway.job_result(job_id) == sum(range(20))
+
+    def test_facade_returns_the_refusal(self, monkeypatch):
+        store, server, gateway = self._journaled()
+        facade = ServerFacade(server, gateway=gateway)
+        monkeypatch.setattr(journal_module, "_MAX_FRAME_BYTES", SUBMIT_HEADROOM + 100)
+        reply = facade.submit_job("a", sum_problem(20))
+        assert "frame cap" in reply["error"]
+        assert gateway.job_ids() == [] and not server._problems
 
 
 class TestGatewayDurability:

@@ -204,7 +204,17 @@ def restore_checkpoint(
         state.completed_units = set(snap.completed_units)
         state.requeue.extend(snap.requeued_units)
         state.voting = dict(snap.voting)
+        # The dump folds every leased or queued unit into the requeue,
+        # so folded plus requeued items are all the items cut.
+        unfinished = {
+            u.unit_id: u.items
+            for u in snap.requeued_units
+            if u.unit_id not in state.completed_units
+        }
+        state.items_cut = snap.items_completed + sum(unfinished.values())
         server._problems[pid] = state
+        if state.status is ProblemStatus.RUNNING:
+            server._running[pid] = None
         if snap.failure_reason is not None:
             server._failures[pid] = snap.failure_reason
         server._rebalance_votes(state, now, reason="restore")

@@ -16,6 +16,7 @@ granting the *same* unit to the *same* donor twice is still an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.workunit import WorkUnit
@@ -32,7 +33,12 @@ class Lease:
 
 
 class LeaseTable:
-    """Tracks issued units and finds the expired ones."""
+    """Tracks issued units and finds the expired ones.
+
+    Counts are kept at every grant and removal, so the size, each
+    problem's in-flight work and the expiry sweep's early exit cost the
+    same however many leases are live.
+    """
 
     def __init__(self, timeout: float):
         if timeout <= 0:
@@ -40,9 +46,16 @@ class LeaseTable:
         self.timeout = timeout
         # (problem_id, unit_id) -> donor_id -> Lease, insertion-ordered.
         self._leases: dict[tuple[int, int], dict[str, Lease]] = {}
+        self._count = 0
+        # problem_id -> [live leases, items they cover]; a problem's
+        # entry goes with its last lease.
+        self._in_flight: dict[int, list[int]] = {}
+        # No live deadline is earlier than this.  Grants and renewals
+        # lower it; removals leave it low until a sweep crosses it.
+        self._earliest = math.inf
 
     def __len__(self) -> int:
-        return sum(len(holders) for holders in self._leases.values())
+        return self._count
 
     def grant(self, unit: WorkUnit, donor_id: str, now: float) -> Lease:
         key = (unit.problem_id, unit.unit_id)
@@ -51,7 +64,35 @@ class LeaseTable:
             raise ValueError(f"unit {key} already leased to {donor_id!r}")
         lease = Lease(unit, donor_id, now, now + self.timeout)
         holders[donor_id] = lease
+        self._count += 1
+        flight = self._in_flight.get(unit.problem_id)
+        if flight is None:
+            self._in_flight[unit.problem_id] = [1, unit.items]
+        else:
+            flight[0] += 1
+            flight[1] += unit.items
+        if lease.deadline < self._earliest:
+            self._earliest = lease.deadline
         return lease
+
+    def _forget(self, lease: Lease) -> None:
+        """Take a removed lease out of the counts."""
+        self._count -= 1
+        pid = lease.unit.problem_id
+        flight = self._in_flight[pid]
+        if flight[0] == 1:
+            del self._in_flight[pid]
+        else:
+            flight[0] -= 1
+            flight[1] -= lease.unit.items
+        if not self._count:
+            self._earliest = math.inf
+
+    def in_flight(self, problem_id: int) -> tuple[int, int]:
+        """``(live leases, items they cover)`` for *problem_id*; each
+        replicated copy is real work and counts."""
+        flight = self._in_flight.get(problem_id)
+        return (flight[0], flight[1]) if flight is not None else (0, 0)
 
     def holder(self, problem_id: int, unit_id: int) -> str | None:
         """The earliest-issued live holder (None when unleased)."""
@@ -86,10 +127,14 @@ class LeaseTable:
             return None
         if donor_id is None:
             del self._leases[key]
+            for lease in holders.values():
+                self._forget(lease)
             return next(iter(holders.values()))
         lease = holders.pop(donor_id, None)
         if not holders:
             del self._leases[key]
+        if lease is not None:
+            self._forget(lease)
         return lease
 
     def renew(
@@ -108,26 +153,44 @@ class LeaseTable:
         holders = self._leases.get((problem_id, unit_id))
         if not holders:
             return False
+        deadline = now + self.timeout
         if donor_id is None:
             for lease in holders.values():
-                lease.deadline = now + self.timeout
-            return True
-        lease = holders.get(donor_id)
-        if lease is None:
-            return False
-        lease.deadline = now + self.timeout
+                lease.deadline = deadline
+        else:
+            lease = holders.get(donor_id)
+            if lease is None:
+                return False
+            lease.deadline = deadline
+        # A renewal only moves a deadline later on a monotone clock;
+        # lowering the bound keeps it valid on any other.
+        if deadline < self._earliest:
+            self._earliest = deadline
         return True
 
     def expired(self, now: float) -> list[Lease]:
-        """Remove and return every lease whose deadline has passed."""
+        """Remove and return every lease whose deadline has passed.
+
+        Returns at once while *now* is below the earliest-deadline
+        bound; a sweep that crosses it rescans and tightens the bound.
+        """
+        if now < self._earliest:
+            return []
         dead: list[Lease] = []
+        earliest = math.inf
         for key in list(self._leases):
             holders = self._leases[key]
             for donor_id in list(holders):
-                if holders[donor_id].deadline <= now:
+                deadline = holders[donor_id].deadline
+                if deadline <= now:
                     dead.append(holders.pop(donor_id))
+                elif deadline < earliest:
+                    earliest = deadline
             if not holders:
                 del self._leases[key]
+        for lease in dead:
+            self._forget(lease)
+        self._earliest = earliest
         return dead
 
     def revoke_donor(self, donor_id: str) -> list[Lease]:
@@ -138,6 +201,7 @@ class LeaseTable:
             lease = holders.pop(donor_id, None)
             if lease is not None:
                 dead.append(lease)
+                self._forget(lease)
             if not holders:
                 del self._leases[key]
         return dead

@@ -285,7 +285,7 @@ class WeightedFairShare:
         groups: dict[str, list[tuple[int, int]]] = {}
         for pid, priority in problems:
             groups.setdefault(self.tenant_of(pid), []).append((priority, pid))
-        inflight = self._inflight_items()
+        inflight = self._inflight_items(pid for pid, _priority in problems)
         ranked = []
         for tenant_id, prio_pids in groups.items():
             cap = self._caps.get(tenant_id)
@@ -323,15 +323,20 @@ class WeightedFairShare:
 
     # -- internals -------------------------------------------------------
 
-    def _inflight_items(self) -> dict[str, int]:
-        """Items currently leased out, per tenant, from the live lease
-        table (each replicated copy is real work and counts)."""
+    def _inflight_items(self, problem_ids: Iterable[int]) -> dict[str, int]:
+        """Items currently leased out, per tenant, summed over
+        *problem_ids* from the lease table's per-problem counts (each
+        replicated copy is real work and counts).  Only running
+        problems hold leases, so the running ids cover every lease."""
         out: dict[str, int] = {}
         if self._server is None:
             return out
-        for lease in self._server.leases.outstanding():
-            tenant_id = self.tenant_of(lease.unit.problem_id)
-            out[tenant_id] = out.get(tenant_id, 0) + lease.unit.items
+        leases = self._server.leases
+        for pid in problem_ids:
+            items = leases.in_flight(pid)[1]
+            if items:
+                tenant_id = self.tenant_of(pid)
+                out[tenant_id] = out.get(tenant_id, 0) + items
         return out
 
 

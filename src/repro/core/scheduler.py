@@ -81,15 +81,19 @@ class DonorState:
         """The earliest-granted unit still held (None when idle)."""
         return self.active_units[0] if self.active_units else None
 
-    def start_unit(self, problem_id: int, unit_id: int) -> None:
+    def start_unit(self, problem_id: int, unit_id: int) -> bool:
+        """Hold a unit; True when the donor was idle until now."""
         self.active_units.append((problem_id, unit_id))
+        return len(self.active_units) == 1
 
-    def end_unit(self, problem_id: int, unit_id: int) -> None:
-        """Forget a held unit; a no-op when it was already cleared."""
+    def end_unit(self, problem_id: int, unit_id: int) -> bool:
+        """Forget a held unit (a no-op when it was already cleared);
+        True when that left the donor idle."""
         try:
             self.active_units.remove((problem_id, unit_id))
         except ValueError:
-            pass
+            return False
+        return not self.active_units
 
     def perf_for(self, problem_id: int, alpha: float = 0.5) -> PerfModel:
         model = self.perf.get(problem_id)
@@ -122,9 +126,9 @@ class GranularityPolicy(abc.ABC):
     ) -> int:
         """Number of items (>= 1) for this donor's next unit.
 
-        ``remaining`` is the server's estimate of items not yet issued
-        or completed (None when the DataManager cannot count).  Policies
-        may use it to taper unit size near the end of a problem.
+        ``remaining`` is the server's count of items not yet cut into
+        units (None when the DataManager cannot count).  Policies may
+        use it to taper unit size near the end of a problem.
         """
 
 

@@ -154,6 +154,7 @@ class _ProblemState:
         "units_issued",
         "units_completed",
         "items_completed",
+        "items_cut",
         "completed_units",
     )
 
@@ -173,6 +174,10 @@ class _ProblemState:
         self.units_issued = 0
         self.units_completed = 0
         self.items_completed = 0
+        # Items of every unit cut and not dropped: folded, leased,
+        # queued or voting.  Ending the problem drops its unfinished
+        # units, leaving the folded items.
+        self.items_cut = 0
         self.completed_units: set[int] = set()
 
 
@@ -223,7 +228,13 @@ class TaskFarmServer:
         self.pipeline = pipeline or PipelineConfig()
         self.reputation = ReputationLedger()
         self._problems: dict[int, _ProblemState] = {}
+        # Ids of the RUNNING problems in submit order, kept where a
+        # problem starts and ends, so dispatch never walks finished ones.
+        self._running: dict[int, None] = {}
         self._donors: dict[str, DonorState] = {}
+        # Donors holding at least one unit, kept where ``active_units``
+        # turns empty or non-empty.
+        self._busy_donors = 0
         # Cross-problem dispatch policy (order/served/completed).  The
         # default round robin reproduces the paper; the job gateway
         # (:mod:`repro.core.gateway`) swaps in weighted fair share.
@@ -298,9 +309,13 @@ class TaskFarmServer:
 
     def _sync_donor_gauges(self) -> None:
         self._g_donors.set(len(self._donors))
-        self._g_donors_busy.set(
-            sum(1 for d in self._donors.values() if d.active_units)
-        )
+        self._g_donors_busy.set(self._busy_donors)
+
+    def _end_donor_unit(
+        self, donor: DonorState, problem_id: int, unit_id: int
+    ) -> None:
+        if donor.end_unit(problem_id, unit_id):
+            self._busy_donors -= 1
 
     # ------------------------------------------------------------------
     # problem lifecycle
@@ -314,11 +329,12 @@ class TaskFarmServer:
         # is pristine and replay re-cuts from the same starting state.
         self._journal("problem.submit", now, problem=problem)
         self._problems[problem.problem_id] = _ProblemState(problem, now)
+        self._running[problem.problem_id] = None
         self.log.record(
             now, "problem.submitted", problem_id=problem.problem_id, name=problem.name
         )
         self._m_problems_submitted.inc()
-        self._g_problems_running.set(len(self.active_problem_ids()))
+        self._g_problems_running.set(len(self._running))
         self._problem_spans[problem.problem_id] = self.obs.tracer.start(
             "problem", now, problem_id=problem.problem_id, problem_name=problem.name
         )
@@ -347,14 +363,10 @@ class TaskFarmServer:
         return state.problem.data_manager.progress()
 
     def active_problem_ids(self) -> list[int]:
-        return [
-            pid
-            for pid, st in self._problems.items()
-            if st.status is ProblemStatus.RUNNING
-        ]
+        return list(self._running)
 
     def all_complete(self) -> bool:
-        return not self.active_problem_ids()
+        return not self._running
 
     def makespan(self, problem_id: int) -> float:
         """Submit-to-complete time for a finished problem."""
@@ -392,6 +404,8 @@ class TaskFarmServer:
         donor = self._donors.pop(donor_id, None)
         if donor is None:
             return
+        if donor.active_units:
+            self._busy_donors -= 1
         self._journal("donor.deregister", now, donor=donor_id)
         for lease in self.leases.revoke_donor(donor_id):
             self._recover_unit(lease.unit, now, reason="donor-left")
@@ -440,19 +454,21 @@ class TaskFarmServer:
         # The lease table is authoritative: entries whose lease was
         # cancelled elsewhere (unit completed by another holder, a
         # dropped result) must not count against the donor forever.
-        donor.active_units = [
-            key
-            for key in donor.active_units
-            if donor_id in self.leases.holders(*key)
-        ]
+        if donor.active_units:
+            donor.active_units = [
+                key
+                for key in donor.active_units
+                if donor_id in self.leases.holders(*key)
+            ]
+            if not donor.active_units:
+                self._busy_donors -= 1
         depth = self.pipeline.depth_for(donor.slots)
         if depth is not None and len(donor.active_units) >= depth:
             self._m_depth_refusals.inc()
             return None
 
         candidates = [
-            (pid, self._problems[pid].problem.priority)
-            for pid in self.active_problem_ids()
+            (pid, self._problems[pid].problem.priority) for pid in self._running
         ]
         order = self.dispatch.order(candidates)
         for pid in order:
@@ -503,7 +519,8 @@ class TaskFarmServer:
         unit.status = UnitStatus.ISSUED
         unit.attempts += 1
         lease = self.leases.grant(unit, donor_id, now)
-        donor.start_unit(pid, unit.unit_id)
+        if donor.start_unit(pid, unit.unit_id):
+            self._busy_donors += 1
         state.units_issued += 1
         self.dispatch.served(pid)
         inline_bytes, wire_bytes = self._charge_delivery(donor_id, unit)
@@ -620,7 +637,7 @@ class TaskFarmServer:
         )
         donor = self._donors.get(result.donor_id)
         if donor is not None:
-            donor.end_unit(result.problem_id, result.unit_id)
+            self._end_donor_unit(donor, result.problem_id, result.unit_id)
             donor.last_seen = now
             self._sync_donor_gauges()
         self.log.record(
@@ -680,30 +697,18 @@ class TaskFarmServer:
             state.problem.problem_id, state.next_unit_id, payload
         )
         state.next_unit_id += 1
+        state.items_cut += unit.items
         return unit
 
-    def _remaining_items(self, state: _ProblemState) -> int | None:
-        """Estimate of items not yet cut into units (None when the
-        DataManager cannot count them).  Completed, in-flight, and
-        queued units are all already cut; the policy's tail taper uses
-        the estimate to shrink units as a problem drains."""
+    @staticmethod
+    def _remaining_items(state: _ProblemState) -> int | None:
+        """Items not yet cut into units (None when the DataManager
+        cannot count them); the policy's tail taper uses it to shrink
+        units as a problem drains."""
         total = state.problem.data_manager.total_items()
         if not total:
             return None
-        pid = state.problem.problem_id
-        cut = state.items_completed
-        seen: set[int] = set(state.completed_units)
-        for lease in self.leases.outstanding(pid):
-            uid = lease.unit.unit_id
-            if uid not in seen:
-                seen.add(uid)
-                cut += lease.unit.items
-        for queue in (state.requeue, state.replicas):
-            for unit in queue:
-                if unit.unit_id not in seen:
-                    seen.add(unit.unit_id)
-                    cut += unit.items
-        return max(0, total - cut)
+        return max(0, total - state.items_cut)
 
     def submit_result(self, result: WorkResult, now: float) -> bool:
         """Apply a donor's result; returns False for duplicates/stale.
@@ -749,7 +754,7 @@ class TaskFarmServer:
 
         donor = self._donors.get(result.donor_id)
         if donor is not None:
-            donor.end_unit(result.problem_id, result.unit_id)
+            self._end_donor_unit(donor, result.problem_id, result.unit_id)
             donor.last_seen = now
             donor.units_completed += 1
             donor.items_completed += result.items
@@ -952,8 +957,9 @@ class TaskFarmServer:
         self._m_quarantines.inc()
         self._g_quarantined.set(len(self.reputation.quarantined_ids()))
         donor = self._donors.get(donor_id)
-        if donor is not None:
+        if donor is not None and donor.active_units:
             donor.active_units.clear()
+            self._busy_donors -= 1
         for lease in self.leases.revoke_donor(donor_id):
             self._recover_unit(lease.unit, now, reason="donor-quarantined")
         self._sync_donor_gauges()
@@ -1007,7 +1013,7 @@ class TaskFarmServer:
         lease = self.leases.release(problem_id, unit_id, donor_id)
         donor = self._donors.get(donor_id)
         if donor is not None:
-            donor.end_unit(problem_id, unit_id)
+            self._end_donor_unit(donor, problem_id, unit_id)
             donor.last_seen = now
         if state is None or state.status is not ProblemStatus.RUNNING:
             return
@@ -1081,17 +1087,19 @@ class TaskFarmServer:
         self._journal(kind, now, pid=pid, **failure)
         state.status = status
         state.completed_at = now
+        del self._running[pid]
         if reason is not None:
             self._failures[pid] = reason
         for lease in self.leases.outstanding(pid):
             donor = self._donors.get(lease.donor_id)
             if donor is not None:
-                donor.end_unit(pid, lease.unit.unit_id)
+                self._end_donor_unit(donor, pid, lease.unit.unit_id)
             self.leases.release(pid, lease.unit.unit_id, lease.donor_id)
         self._close_unit_spans(pid, now, "cancelled")
         state.requeue.clear()
         state.replicas.clear()
         state.voting.clear()
+        state.items_cut = state.items_completed
         if status is ProblemStatus.COMPLETE:
             detail = span_attrs = {
                 "units": state.units_completed,
@@ -1104,7 +1112,7 @@ class TaskFarmServer:
             detail, span_attrs = {}, {"status": "cancelled"}
         self.log.record(now, kind, problem_id=pid, name=state.problem.name, **detail)
         self._m_problems_ended[status].inc()
-        self._g_problems_running.set(len(self.active_problem_ids()))
+        self._g_problems_running.set(len(self._running))
         self._sync_donor_gauges()
         span = self._problem_spans.pop(pid, None)
         if span is not None:
@@ -1116,7 +1124,7 @@ class TaskFarmServer:
         for lease in expired:
             donor = self._donors.get(lease.donor_id)
             if donor is not None:
-                donor.end_unit(lease.unit.problem_id, lease.unit.unit_id)
+                self._end_donor_unit(donor, lease.unit.problem_id, lease.unit.unit_id)
             if self.integrity.active:
                 self._rate(lease.donor_id, "expiries", now)
             self._recover_unit(lease.unit, now, reason="lease-expired")

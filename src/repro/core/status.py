@@ -91,7 +91,7 @@ def snapshot(server: TaskFarmServer, now: float) -> FarmStatus:
     """Build a :class:`FarmStatus` from a server (read-only)."""
     problems = []
     for pid, state in sorted(server._problems.items()):
-        in_flight = len(server.leases.outstanding(pid))
+        in_flight, _items = server.leases.in_flight(pid)
         requeued = len(state.requeue)
         problems.append(
             ProblemStatusLine(

@@ -1,13 +1,86 @@
-"""Shared test fixtures: simple DataManagers/Algorithms and a manual clock."""
+"""Shared test fixtures: simple DataManagers/Algorithms, a manual clock
+and the server invariant check."""
 
 from __future__ import annotations
 
 import threading
 from typing import Any
 
+from repro.core.gateway import WeightedFairShare
 from repro.core.journal import JournalWriter, MemoryStore, read_journal
 from repro.core.problem import Algorithm, DataManager
+from repro.core.server import ProblemStatus
 from repro.core.workunit import UnitPayload, WorkResult
+
+
+def check_invariants(server) -> None:
+    """Assert that every counter the server keeps at its mutation
+    points equals its value re-derived by walking the state, and that
+    no cut unit is lost.
+
+    For every RUNNING problem, each unit id below ``next_unit_id`` that
+    is not folded must be leased or queued, and a voting unit's votes,
+    leases and queued copies must still cover its required votes.  An
+    ended problem holds no lease, queued copy or vote.
+    """
+    table = server.leases
+    leases = table.outstanding()
+    assert len(table) == len(leases)
+    per_problem: dict[int, tuple[int, int]] = {}
+    for lease in leases:
+        n, items = per_problem.get(lease.unit.problem_id, (0, 0))
+        per_problem[lease.unit.problem_id] = (n + 1, items + lease.unit.items)
+    kept = {pid: table.in_flight(pid) for pid in table._in_flight}
+    assert kept == per_problem, (kept, per_problem)
+    assert all(lease.deadline >= table._earliest for lease in leases)
+
+    running = [
+        pid
+        for pid, state in server._problems.items()
+        if state.status is ProblemStatus.RUNNING
+    ]
+    assert server.active_problem_ids() == running
+    assert server.all_complete() == (not running)
+    assert server._busy_donors == sum(
+        1 for donor in server._donors.values() if donor.active_units
+    )
+    # A donor may list units whose lease went elsewhere (its next
+    # request prunes them), but never holds a lease it does not list.
+    for lease in leases:
+        key = (lease.unit.problem_id, lease.unit.unit_id)
+        assert key in server._donors[lease.donor_id].active_units, lease
+    if isinstance(server.dispatch, WeightedFairShare):
+        by_tenant: dict[str, int] = {}
+        for lease in leases:
+            tenant = server.dispatch.tenant_of(lease.unit.problem_id)
+            by_tenant[tenant] = by_tenant.get(tenant, 0) + lease.unit.items
+        assert server.dispatch._inflight_items(running) == by_tenant
+
+    for pid, state in server._problems.items():
+        held = [lease.unit for lease in leases if lease.unit.problem_id == pid]
+        queued = list(state.requeue) + list(state.replicas)
+        live = {unit.unit_id: unit.items for unit in held + queued}
+        assert not live.keys() & state.completed_units, pid
+        assert state.items_cut == state.items_completed + sum(live.values()), (
+            pid,
+            state.items_cut,
+            state.items_completed,
+            live,
+        )
+        if state.status is not ProblemStatus.RUNNING:
+            assert not live and not state.voting, pid
+            continue
+        lost = [
+            uid
+            for uid in range(state.next_unit_id)
+            if uid not in state.completed_units and uid not in live
+        ]
+        assert not lost, f"problem {pid}: cut units {lost} are nowhere"
+        for uid, voting in state.voting.items():
+            supply = len(voting.votes) + sum(
+                1 for unit in held + queued if unit.unit_id == uid
+            )
+            assert supply >= voting.required, (pid, uid, supply, voting.required)
 
 
 def rewrite_journal(store, upto: str | None = None, extra=()) -> MemoryStore:

@@ -32,6 +32,7 @@ from repro.rmi.reconnect import ReconnectingPort
 from repro.rmi.transport import FrameSocket, TransportServer, dial
 from repro.obs.meters import MeterRegistry
 from repro.util.rng import spawn_rng
+from tests.helpers import check_invariants
 
 #: The chaos-smoke seed set.  CI adds one rolling seed from the run
 #: number (see .github/workflows/ci.yml) so the schedule space keeps
@@ -76,6 +77,7 @@ def run_sim(build_problem, chaos=None, integrity=None):
     )
     pid = cluster.submit(build_problem())
     report = cluster.run()
+    check_invariants(cluster.server)
     return cluster, pid, report
 
 
@@ -400,6 +402,7 @@ def run_gateway_sim(build_problem, chaos=None, integrity=None, cancel_at=None):
             lambda: cluster.gateway.cancel_job(4, now=cluster.sim.now),
         )
     report = cluster.run()
+    check_invariants(cluster.server)
     return cluster, pids, report
 
 

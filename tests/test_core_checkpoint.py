@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.checkpoint import (
     CheckpointError,
+    dumps_checkpoint,
     load_checkpoint,
+    loads_checkpoint,
     save_checkpoint,
 )
 from repro.core.integrity import IntegrityPolicy
@@ -12,7 +14,7 @@ from repro.core.problem import Problem
 from repro.core.scheduler import FixedGranularity
 from repro.core.server import ProblemStatus, TaskFarmServer
 from repro.core.workunit import WorkResult
-from tests.helpers import RangeSumAlgorithm, RangeSumDataManager
+from tests.helpers import RangeSumAlgorithm, RangeSumDataManager, check_invariants
 
 
 def make_server():
@@ -96,6 +98,74 @@ class TestCheckpointRoundtrip:
         save_checkpoint(server, path, now=1.0)
         assert path.exists()
         assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestCheckpointRestoresCounters:
+    """Restore rebuilds every kept counter from the unchanged v4
+    format: ``items_cut`` is the folded items plus the requeued units'."""
+
+    @pytest.mark.parametrize("replication", [1, 2])
+    def test_mid_run_restore_rebuilds_counters(self, replication):
+        integrity = IntegrityPolicy(replication=replication)
+
+        def server_factory():
+            return TaskFarmServer(
+                policy=FixedGranularity(7), lease_timeout=10.0, integrity=integrity
+            )
+
+        server = server_factory()
+        done = server.submit(
+            Problem("done", RangeSumDataManager(7), RangeSumAlgorithm()), 0.0
+        )
+        pid = server.submit(
+            Problem("sum", RangeSumDataManager(100), RangeSumAlgorithm()), 0.0
+        )
+        gone = server.submit(
+            Problem("gone", RangeSumDataManager(30), RangeSumAlgorithm()), 0.0
+        )
+        donors = ["d0", "d1", "d2"]
+        for donor in donors:
+            server.register_donor(donor, 0.0)
+        t = 0.0
+        # Fold a few units, then leave leases in flight: d2's lapses
+        # and is requeued, d0's and d1's are renewed and still out.
+        for _ in range(4):
+            for donor in donors:
+                a = server.request_work(donor, t := t + 0.1)
+                if a is not None:
+                    server.submit_result(compute(a, donor), t := t + 0.1)
+                check_invariants(server)
+        server.cancel_problem(gone, t)
+        assert server.status(done) is ProblemStatus.COMPLETE
+        for donor in ("d2", "d0", "d1"):
+            assert server.request_work(donor, t := t + 0.1) is not None
+        t += 9.0
+        for donor in ("d0", "d1"):
+            server.heartbeat(donor, t)
+        assert server.expire_leases(t := t + 1.5) == 1
+        check_invariants(server)
+        state = server._problems[pid]
+        assert server.leases.in_flight(pid)[0] >= 2
+        assert state.requeue or state.replicas
+        assert 0 < server._remaining_items(state) < 100
+
+        fresh = server_factory()
+        loads_checkpoint(dumps_checkpoint(server, t), fresh, now=t)
+        check_invariants(fresh)
+        for p in (done, pid, gone):
+            assert fresh._problems[p].items_cut == server._problems[p].items_cut
+        assert fresh._remaining_items(fresh._problems[pid]) == (
+            server._remaining_items(state)
+        )
+        for donor in ("e0", "e1"):
+            fresh.register_donor(donor, t)
+        while fresh.status(pid) is ProblemStatus.RUNNING:
+            for donor in ("e0", "e1"):
+                a = fresh.request_work(donor, t := t + 0.1)
+                if a is not None:
+                    fresh.submit_result(compute(a, donor), t := t + 0.1)
+                check_invariants(fresh)
+        assert fresh.final_result(pid) == sum(range(100))
 
 
 class TestCheckpointUnderIntegrity:

@@ -58,7 +58,12 @@ from repro.core.server import ProblemStatus, TaskFarmServer
 from repro.core.workunit import WorkResult
 from repro.rmi.datachannel import DataChannelServer
 from repro.util.config import ConfigError, ConfigFile
-from tests.helpers import RangeSumAlgorithm, RangeSumDataManager, rewrite_journal
+from tests.helpers import (
+    RangeSumAlgorithm,
+    RangeSumDataManager,
+    check_invariants,
+    rewrite_journal,
+)
 
 
 def make_server(**kwargs) -> TaskFarmServer:
@@ -485,8 +490,9 @@ class _StubLeases:
     def __init__(self, leases):
         self._leases = list(leases)
 
-    def outstanding(self, problem_id=None):
-        return list(self._leases)
+    def in_flight(self, problem_id):
+        mine = [l for l in self._leases if l.unit.problem_id == problem_id]
+        return len(mine), sum(l.unit.items for l in mine)
 
 
 class _StubObs:
@@ -1027,6 +1033,7 @@ def _live_facts(server, gateway) -> dict:
             state.completed_at,
             state.next_unit_id,
             state.items_completed,
+            state.items_cut,
             frozenset(state.completed_units),
             server.failure_reason(pid),
             {uid: len(v.votes) for uid, v in state.voting.items()},
@@ -1074,6 +1081,7 @@ class TestReplayEqualsLive:
         checkpoint = None
         t = 0.0
         for op, k in ops:
+            check_invariants(server)  # the state every earlier op left
             t += 1.0
             donor = donors[k % len(donors)]
             if op == "submit":
@@ -1115,13 +1123,16 @@ class TestReplayEqualsLive:
                 )
                 server.journal.rotate()
                 compact(store, lsn)
+        check_invariants(server)
         gateway.pump(t + 1.0)
+        check_invariants(server)
 
         fresh = make_server(
             policy=FixedGranularity(5), integrity=integrity, max_unit_attempts=2
         )
         fresh_gateway = JobGateway(fresh)
         recover(fresh, store, checkpoint, now=t + 1.0, gateway=fresh_gateway)
+        check_invariants(fresh)
         assert _live_facts(fresh, fresh_gateway) == _live_facts(server, gateway)
         if checkpoint is None:  # a checkpoint holds no donors: they re-register
             assert fresh.donor_ids() == server.donor_ids()

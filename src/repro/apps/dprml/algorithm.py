@@ -15,7 +15,7 @@ from repro.apps.dprml.config import DPRmlConfig
 from repro.bio.phylo.alignment import SiteAlignment
 from repro.bio.phylo.likelihood import TreeLikelihood
 from repro.bio.phylo.optimize import optimize_all_branches
-from repro.bio.phylo.stepwise import PlacementScore, evaluate_placement
+from repro.bio.phylo.stepwise import evaluate_placements
 from repro.bio.phylo.tree import parse_newick
 from repro.core.problem import Algorithm
 
@@ -50,19 +50,16 @@ class DPRmlAlgorithm(Algorithm):
         model, rates = self._ensure_model()
         if kind == "place":
             _kind, newick, taxon, edge_indices = payload
-            scores = [
-                evaluate_placement(
-                    newick,
-                    taxon,
-                    edge_index,
-                    self.alignment,
-                    model,
-                    rates,
-                    local_passes=self.config.local_passes,
-                    leaf_branch=self.config.leaf_branch,
-                )
-                for edge_index in edge_indices
-            ]
+            scores = evaluate_placements(
+                newick,
+                taxon,
+                edge_indices,
+                self.alignment,
+                model,
+                rates,
+                local_passes=self.config.local_passes,
+                leaf_branch=self.config.leaf_branch,
+            )
             return ("place", scores)
         if kind == "polish":
             _kind, newick, passes = payload
@@ -79,11 +76,16 @@ class DPRmlAlgorithm(Algorithm):
         raise ValueError(f"unknown DPRml task kind {kind!r}")
 
     def cost(self, payload: Any) -> float:
-        """Abstract cost ∝ likelihood work.
+        """Abstract cost in pruning-equivalent node updates.
 
-        A placement on a tree of *k* taxa invalidates an O(depth) path
-        of nodes, each update O(patterns × categories); the polish pass
-        sweeps every branch.  These weights only matter to the
+        The simulator charges a placement what pruning would spend on
+        it — every Brent probe re-pruning the inserted node's path, each
+        node update O(patterns × categories), estimated here from the
+        tree size — the currency of :attr:`PlacementScore.cost` and of
+        the Fig. 2 trace.  Donors score placements edge-locally for far
+        less (:func:`~repro.bio.phylo.stepwise.evaluate_placements`);
+        the simulated clock does not follow that kernel.  The polish
+        pass sweeps every branch.  These weights only matter to the
         simulator's clock, not to correctness.
         """
         kind = payload[0]

@@ -13,7 +13,13 @@ this usable at DPRml's scale:
   change to the root.  Stepwise insertion evaluates thousands of
   single-edge changes, each of which then costs O(depth) instead of
   O(taxa) node updates.  This mirrors what fastDNAml calls "partial
-  likelihood reuse".
+  likelihood reuse".  An evaluation walks only the stale nodes, and
+  each edge's transition matrices are kept until its length changes.
+
+Scoring a candidate placement needs less still: :class:`DirectionalPartials`
+holds every edge's partials from below *and* from above, so the
+likelihood of the tree with one more leaf on any edge is a product of
+three messages at that edge — no tree walk at all.
 """
 
 from __future__ import annotations
@@ -51,6 +57,8 @@ class TreeLikelihood:
         self._partials: dict[Node, np.ndarray] = {}      # (K, npat, 4), scaled
         self._scale_logs: dict[Node, np.ndarray] = {}    # (npat,) cumulative
         self._leaf_rows: dict[str, np.ndarray] = {}
+        # Per child edge: (length, per-category P) it was built for.
+        self._matrices: dict[Node, tuple[float, list[np.ndarray]]] = {}
         self.evaluations = 0
         self.node_updates = 0
 
@@ -66,6 +74,7 @@ class TreeLikelihood:
     def invalidate_all(self) -> None:
         self._partials.clear()
         self._scale_logs.clear()
+        self._matrices.clear()
 
     def set_branch_length(self, node: Node, length: float) -> None:
         """Update one branch length and invalidate exactly what changed.
@@ -95,41 +104,71 @@ class TreeLikelihood:
 
     # -- the pruning pass ----------------------------------------------------
 
-    def log_likelihood(self) -> float:
-        """Recompute whatever is stale and return the tree log-likelihood."""
-        K = self.rates.categories
-        for node in self.tree.postorder():
-            if node in self._partials:
-                continue
-            self.node_updates += 1
-            if node.is_leaf:
-                leaf = self._leaf_partial(node.name)
-                self._partials[node] = np.broadcast_to(
-                    leaf, (K, *leaf.shape)
-                )
-                self._scale_logs[node] = np.zeros(leaf.shape[0])
-                continue
-            partial = np.ones((K, self.alignment.n_patterns, N_STATES))
-            scale_log = np.zeros(self.alignment.n_patterns)
-            for child in node.children:
-                child_partial = self._partials[child]
-                scale_log += self._scale_logs[child]
-                for k, rate in enumerate(self.rates.rates):
-                    P = self.model.transition_matrix(child.branch_length, rate)
-                    # (npat,4) @ (4,4)ᵀ: prob of data below child given
-                    # each parent state.
-                    partial[k] *= child_partial[k] @ P.T
-            # Per-pattern scaling across categories and states.
-            peak = partial.max(axis=(0, 2))
-            # A pattern impossible under the tree would give peak == 0;
-            # guard so log() stays finite and the zero propagates.
-            safe = np.where(peak > 0, peak, 1.0)
-            partial /= safe[None, :, None]
-            scale_log += np.log(safe)
-            self._partials[node] = partial
-            self._scale_logs[node] = scale_log
+    def _transition_matrices(self, node: Node) -> list[np.ndarray]:
+        """Per-category ``P`` of *node*'s edge, reused until its length
+        changes."""
+        cached = self._matrices.get(node)
+        if cached is not None and cached[0] == node.branch_length:
+            return cached[1]
+        mats = [
+            self.model.transition_matrix(node.branch_length, rate)
+            for rate in self.rates.rates
+        ]
+        self._matrices[node] = (node.branch_length, mats)
+        return mats
 
+    def _update(self, node: Node) -> None:
+        """Recompute *node*'s partial from its (current) children."""
+        self.node_updates += 1
+        if node.is_leaf:
+            leaf = self._leaf_partial(node.name)
+            self._partials[node] = np.broadcast_to(
+                leaf, (self.rates.categories, *leaf.shape)
+            )
+            self._scale_logs[node] = np.zeros(leaf.shape[0])
+            return
+        partial = np.ones(
+            (self.rates.categories, self.alignment.n_patterns, N_STATES)
+        )
+        scale_log = np.zeros(self.alignment.n_patterns)
+        for child in node.children:
+            child_partial = self._partials[child]
+            scale_log += self._scale_logs[child]
+            for k, P in enumerate(self._transition_matrices(child)):
+                # (npat,4) @ (4,4)ᵀ: prob of data below child given
+                # each parent state.
+                partial[k] *= child_partial[k] @ P.T
+        # Per-pattern scaling across categories and states.
+        peak = partial.max(axis=(0, 2))
+        # A pattern impossible under the tree would give peak == 0;
+        # guard so log() stays finite and the zero propagates.
+        safe = np.where(peak > 0, peak, 1.0)
+        partial /= safe[None, :, None]
+        scale_log += np.log(safe)
+        self._partials[node] = partial
+        self._scale_logs[node] = scale_log
+
+    def log_likelihood(self) -> float:
+        """Recompute whatever is stale and return the tree log-likelihood.
+
+        Invalidation always drops a whole path to the root, so a cached
+        node's subtree is cached too: the walk descends only into stale
+        nodes and updates them children first, in postorder.
+        """
         root = self.tree.root
+        stack: list[tuple[Node, bool]] = (
+            [] if root in self._partials else [(root, False)]
+        )
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                self._update(node)
+                continue
+            stack.append((node, True))
+            for child in reversed(node.children):
+                if child not in self._partials:
+                    stack.append((child, False))
+
         root_partial = self._partials[root]
         site_lik = np.einsum(
             "kps,s->kp", root_partial, self.model.freqs
@@ -154,3 +193,94 @@ class TreeLikelihood:
         )
         mixed = np.einsum("k,kp->p", self.rates.weights, site_lik)
         return np.log(mixed) + self._scale_logs[root]
+
+
+class DirectionalPartials:
+    """Edge-local likelihoods of one extra leaf inserted on any edge.
+
+    For a fixed tree this holds, per edge ``n → p`` (named by its child
+    node *n*), the scaled **down partial** ``D_n`` — the data below *n*
+    given the state at *n* (:class:`TreeLikelihood`'s partial) — and the
+    scaled **up partial** ``U_n`` — the rest of the tree given the
+    state at *p*, with π folded in at the root.  Inserting a leaf *x* on
+    the edge creates a node *v*; with ``t_c`` (``n → v``), ``t_l``
+    (``x → v``) and ``t_u`` (``v → p``) the placement's site likelihood
+    is ::
+
+        Σ_s [P(t_u)ᵀ U_n]_s · [P(t_c) D_n]_s · [P(t_l) x]_s
+
+    plus the per-pattern constant ``scale(D_n) + scale(U_n)`` in log
+    space.  Each factor is a :meth:`down`, :meth:`up` or :meth:`leaf`
+    message and :meth:`combine` joins three of them, so scoring one
+    branch length costs one matrix per rate category and no tree walk.
+    Both passes run over the whole tree once, so every edge's partials
+    are the same whichever edges are then scored.
+    """
+
+    def __init__(
+        self,
+        tree: Tree,
+        alignment: SiteAlignment,
+        model: SubstitutionModel,
+        rates: GammaRates | None = None,
+    ):
+        tl = TreeLikelihood(tree, alignment, model, rates)
+        tl.log_likelihood()
+        self.model = model
+        self.rates = tl.rates
+        self.alignment = alignment
+        self._down = tl._partials
+        self._leaf_partial = tl._leaf_partial
+        self._up: dict[Node, np.ndarray] = {}
+        up_scale: dict[Node, np.ndarray] = {}
+        K, npat = self.rates.categories, alignment.n_patterns
+        for node in tree.preorder():
+            if node.is_leaf:
+                continue
+            if node.parent is None:
+                above = np.broadcast_to(model.freqs, (K, npat, N_STATES))
+                above_scale = np.zeros(npat)
+            else:
+                above = self.up(node, node.branch_length)
+                above_scale = up_scale[node]
+            below = [self.down(child, child.branch_length) for child in node.children]
+            for i, child in enumerate(node.children):
+                partial = above.copy()
+                scale_log = above_scale.copy()
+                for j, sibling in enumerate(node.children):
+                    if j != i:
+                        partial *= below[j]
+                        scale_log += tl._scale_logs[sibling]
+                peak = partial.max(axis=(0, 2))
+                safe = np.where(peak > 0, peak, 1.0)
+                partial /= safe[None, :, None]
+                self._up[child] = partial
+                up_scale[child] = scale_log + np.log(safe)
+        # scale(U_n) + scale(D_n): each edge's constant log term.
+        self._const = {
+            node: scale_log + tl._scale_logs[node] for node, scale_log in up_scale.items()
+        }
+
+    def _matrices(self, t: float) -> np.ndarray:
+        return self.model.transition_matrices(t, self.rates.rates)
+
+    def down(self, node: Node, t: float) -> np.ndarray:
+        """``P(t)·D_node`` per category: (K, npat, 4)."""
+        return np.matmul(self._down[node], self._matrices(t).transpose(0, 2, 1))
+
+    def up(self, node: Node, t: float) -> np.ndarray:
+        """``P(t)ᵀ·U_node`` per category: (K, npat, 4)."""
+        return np.matmul(self._up[node], self._matrices(t))
+
+    def leaf(self, name: str, t: float) -> np.ndarray:
+        """``P(t)·x`` for taxon *name*'s tip partial: (K, npat, 4)."""
+        return np.matmul(self._leaf_partial(name), self._matrices(t).transpose(0, 2, 1))
+
+    def combine(self, node: Node, held: np.ndarray, message: np.ndarray) -> float:
+        """Log-likelihood of the tree with a leaf on *node*'s edge, from
+        the product of two of its messages (*held*) and the third."""
+        site_lik = np.einsum("kps,kps->kp", held, message)
+        mixed = self.rates.weights @ site_lik
+        if (mixed <= 0).any():
+            return float("-inf")
+        return float(np.dot(self.alignment.weights, np.log(mixed) + self._const[node]))

@@ -140,26 +140,6 @@ def optimize_branch(
     return tl.log_likelihood()
 
 
-def optimize_local(
-    tl: TreeLikelihood,
-    v: Node,
-    passes: int = 1,
-    tol: float = 1e-4,
-) -> float:
-    """Optimise the three branches around an insertion node *v*.
-
-    This is fastDNAml's local optimisation: after placing a taxon, only
-    the new leaf's branch, the split edge's two halves need adjusting to
-    score the placement accurately — full-tree optimisation is deferred.
-    """
-    branches = [child for child in v.children] + ([v] if v.parent is not None else [])
-    loglik = tl.log_likelihood()
-    for _ in range(passes):
-        for branch in branches:
-            loglik = optimize_branch(tl, branch, tol=tol)
-    return loglik
-
-
 def optimize_all_branches(
     tl: TreeLikelihood,
     passes: int = 2,

@@ -13,22 +13,32 @@ Each stage's placements are independent given the current tree, which
 is exactly the unit of distribution: DPRml ships ``(tree newick, taxon,
 edge index)`` tasks to donors and synchronises at the stage barrier.
 This module provides both the sequential search (:class:`StepwiseSearch`)
-and the task-level pieces (:func:`evaluate_placement`,
+and the task-level pieces (:func:`evaluate_placements`,
 :func:`apply_placement`) the distributed application composes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.bio.phylo.alignment import SiteAlignment
 from repro.bio.phylo.distances import nj_addition_order
-from repro.bio.phylo.likelihood import TreeLikelihood
+from repro.bio.phylo.likelihood import DirectionalPartials, TreeLikelihood
 from repro.bio.phylo.models import GammaRates, SubstitutionModel
-from repro.bio.phylo.optimize import optimize_all_branches, optimize_local
-from repro.bio.phylo.tree import Tree, parse_newick
+from repro.bio.phylo.optimize import (
+    MAX_BRANCH,
+    MIN_BRANCH,
+    bounded_minimize,
+    optimize_all_branches,
+)
+from repro.bio.phylo.tree import Node, Tree, parse_newick
 
 DEFAULT_LEAF_BRANCH = 0.1
+
+#: Brent settings of the per-placement local optimisation.
+LOCAL_TOL = 1e-4
+LOCAL_MAXITER = 40
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,41 +84,94 @@ class StepwiseResult:
         return sum(s.n_candidates for s in self.stages)
 
 
-def evaluate_placement(
+def evaluate_placements(
     tree_newick: str,
     taxon: str,
-    edge_index: int,
+    edge_indices: Sequence[int],
     alignment: SiteAlignment,
     model: SubstitutionModel,
     rates: GammaRates | None = None,
     local_passes: int = 1,
     leaf_branch: float = DEFAULT_LEAF_BRANCH,
-) -> PlacementScore:
-    """Score inserting *taxon* on edge *edge_index* of the Newick tree.
+) -> list[PlacementScore]:
+    """Score inserting *taxon* on each edge in *edge_indices* of the
+    Newick tree.
 
-    Self-contained (tree travels as text, the edge as its postorder
-    index) so it can run in any donor process.  The alignment is
-    restricted to the taxa actually on the tree plus the new one, so
-    early stages are cheap.
+    Self-contained (tree travels as text, edges as postorder indices)
+    so it can run in any donor process.  The alignment is restricted to
+    the taxa on the tree plus the new one, so early stages are cheap.
+
+    This is fastDNAml's local optimisation: the split edge's two halves
+    and the new leaf's branch are optimised (in that order, for
+    *local_passes* passes) while the rest of the tree stays fixed.  Each
+    probe is scored edge-locally from :class:`DirectionalPartials`,
+    computed once for the whole call, so a score does not depend on
+    which other edges share the call.  ``cost`` stays in pruning node
+    updates: what the same search would have spent re-running
+    :class:`TreeLikelihood` on the inserted tree for every probe.
     """
     tree = parse_newick(tree_newick)
     edges = tree.edges()
-    if not (0 <= edge_index < len(edges)):
-        raise IndexError(f"edge {edge_index} out of range ({len(edges)} edges)")
+    for edge_index in edge_indices:
+        if not (0 <= edge_index < len(edges)):
+            raise IndexError(f"edge {edge_index} out of range ({len(edges)} edges)")
     sub = alignment.subset(tree.leaf_names() + [taxon])
-    tl = TreeLikelihood(tree, sub, model, rates)
-    before = tl.node_updates
-    v, leaf = tree.insert_on_edge(edges[edge_index], taxon, leaf_branch)
-    tl.invalidate(v)
-    loglik = optimize_local(tl, v, passes=local_passes)
-    child = v.children[0] if v.children[1] is leaf else v.children[1]
+    partials = DirectionalPartials(tree, sub, model, rates)
+    depth = {tree.root: 0}
+    for node in tree.preorder():
+        for child in node.children:
+            depth[child] = depth[node] + 1
+    n_nodes = len(depth) + 2  # with the new node v and the new leaf
+    return [
+        _optimize_placement(
+            partials, edges[edge_index], edge_index, taxon,
+            local_passes, leaf_branch, n_nodes, depth[edges[edge_index].parent],
+        )
+        for edge_index in edge_indices
+    ]
+
+
+def _optimize_placement(
+    partials: DirectionalPartials,
+    edge: Node,
+    edge_index: int,
+    taxon: str,
+    local_passes: int,
+    leaf_branch: float,
+    n_nodes: int,
+    parent_depth: int,
+) -> PlacementScore:
+    """Brent-optimise the three branches around one insertion."""
+    # Branches in optimisation order: child half, new leaf, parent half.
+    messages = (
+        lambda t: partials.down(edge, t),
+        lambda t: partials.leaf(taxon, t),
+        lambda t: partials.up(edge, t),
+    )
+    lengths = [0.5 * edge.branch_length, leaf_branch, 0.5 * edge.branch_length]
+    current = [message(t) for message, t in zip(messages, lengths)]
+    loglik = partials.combine(edge, current[0] * current[1], current[2])
+    # A probe of the child or leaf branch would re-prune v's path to
+    # the root (parent_depth + 2 nodes), one of the parent half p's path.
+    path = (parent_depth + 2, parent_depth + 2, parent_depth + 1)
+    cost = n_nodes
+    for _ in range(local_passes):
+        for i, message in enumerate(messages):
+            j, k = (x for x in range(3) if x != i)
+            held = current[j] * current[k]
+            x, fx, nfev = bounded_minimize(
+                lambda t: -partials.combine(edge, held, message(t)),
+                MIN_BRANCH, MAX_BRANCH, xatol=LOCAL_TOL, maxiter=LOCAL_MAXITER,
+            )
+            lengths[i], current[i], loglik = x, message(x), -fx
+            cost += (nfev + 1) * path[i]
     return PlacementScore(
         edge_index=edge_index,
         log_likelihood=loglik,
-        child_branch=child.branch_length,
-        internal_branch=v.branch_length,
-        leaf_branch=leaf.branch_length,
-        cost=float(tl.node_updates - before),
+        child_branch=lengths[0],
+        internal_branch=lengths[2],
+        leaf_branch=lengths[1],
+        cost=float(cost),
     )
 
 
@@ -183,22 +246,21 @@ class StepwiseSearch:
         for stage_number, taxon in enumerate(self.order[3:], start=4):
             newick = tree.newick()
             n_edges = len(tree.edges())
+            scores = evaluate_placements(
+                newick,
+                taxon,
+                range(n_edges),
+                self.alignment,
+                self.model,
+                self.rates,
+                local_passes=self.local_passes,
+                leaf_branch=self.leaf_branch,
+            )
             best: PlacementScore | None = None
-            costs: list[float] = []
-            for edge_index in range(n_edges):
-                score = evaluate_placement(
-                    newick,
-                    taxon,
-                    edge_index,
-                    self.alignment,
-                    self.model,
-                    self.rates,
-                    local_passes=self.local_passes,
-                    leaf_branch=self.leaf_branch,
-                )
-                costs.append(score.cost)
+            for score in scores:
                 if score.better_than(best):
                     best = score
+            costs = [score.cost for score in scores]
             assert best is not None
             apply_placement(tree, taxon, best, leaf_branch=self.leaf_branch)
             stages.append(

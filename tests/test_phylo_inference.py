@@ -22,7 +22,7 @@ from repro.bio.phylo.simulate import (
 from repro.bio.phylo.stepwise import (
     StepwiseSearch,
     apply_placement,
-    evaluate_placement,
+    evaluate_placements,
 )
 from repro.bio.phylo.tree import Tree, parse_newick, rf_distance
 from repro.bio.seq.sequence import dna
@@ -193,23 +193,26 @@ class TestPlacementTasks:
         self.model = JC69()
         self.aln = simulate_alignment(self.true, self.model, 300, seed=32)
 
+    def score(self, newick, taxon, edge_index):
+        return evaluate_placements(newick, taxon, [edge_index], self.aln, self.model)[0]
+
     def test_evaluate_placement_is_pure(self):
         tree = Tree.star(self.aln.names[:3])
         newick = tree.newick()
-        s1 = evaluate_placement(newick, self.aln.names[3], 0, self.aln, self.model)
-        s2 = evaluate_placement(newick, self.aln.names[3], 0, self.aln, self.model)
+        s1 = self.score(newick, self.aln.names[3], 0)
+        s2 = self.score(newick, self.aln.names[3], 0)
         assert s1.log_likelihood == s2.log_likelihood
         assert tree.newick() == newick  # input tree untouched
 
     def test_edge_index_out_of_range(self):
         tree = Tree.star(self.aln.names[:3])
         with pytest.raises(IndexError):
-            evaluate_placement(tree.newick(), self.aln.names[3], 99, self.aln, self.model)
+            self.score(tree.newick(), self.aln.names[3], 99)
 
     def test_apply_placement_matches_evaluation(self):
         tree = Tree.star(self.aln.names[:3])
         taxon = self.aln.names[3]
-        score = evaluate_placement(tree.newick(), taxon, 1, self.aln, self.model)
+        score = self.score(tree.newick(), taxon, 1)
         apply_placement(tree, taxon, score)
         sub = self.aln.subset(tree.leaf_names())
         ll = TreeLikelihood(tree, sub, self.model).log_likelihood()
@@ -217,9 +220,7 @@ class TestPlacementTasks:
 
     def test_cost_recorded(self):
         tree = Tree.star(self.aln.names[:3])
-        score = evaluate_placement(
-            tree.newick(), self.aln.names[3], 0, self.aln, self.model
-        )
+        score = self.score(tree.newick(), self.aln.names[3], 0)
         assert score.cost > 0
 
 

@@ -42,8 +42,9 @@ def run_with_uptime(mean_uptime: float | None, seed: int = 19):
         trace_problem(WorkloadTrace.single_stage([ITEM_COST] * ITEMS))
     )
     report = cluster.run()
-    requeued = len(report.log.of_kind("unit.requeued"))
-    duplicates = len(report.log.of_kind("unit.duplicate", "unit.stale"))
+    counters = cluster.obs.meters.snapshot()["counters"]
+    requeued = int(counters["farm.units.requeued"])
+    duplicates = int(counters["farm.units.duplicate"] + counters["farm.units.stale"])
     items = report.results[pid]["items"] if pid in report.results else 0
     return report.completed, report.makespans.get(pid), requeued, duplicates, items
 

@@ -65,7 +65,7 @@ def main() -> None:
     )
     pid = cluster.submit(trace_problem(WorkloadTrace.single_stage([30.0] * 2000)))
     report = cluster.run()
-    requeued = len(report.log.of_kind("unit.requeued"))
+    requeued = int(cluster.obs.meters.counter("farm.units.requeued").value)
     print(
         f"  completed: {report.completed}, makespan {report.makespans[pid]:.0f} s, "
         f"{requeued} units requeued after donor departures, "

@@ -37,7 +37,6 @@ from repro.core.scheduler import GranularityPolicy
 from repro.core.server import Assignment, PipelineConfig, TaskFarmServer
 from repro.core.workunit import WorkResult
 from repro.obs import Observability, unitstats
-from repro.util.events import EventLog
 from repro.util.rng import spawn_rng
 
 
@@ -49,7 +48,6 @@ class SimReport:
     makespans: dict[int, float]
     results: dict[int, Any]
     completed: bool
-    log: EventLog
     machine_units: dict[str, int] = field(default_factory=dict)
     machine_busy: dict[str, float] = field(default_factory=dict)
     bytes_transferred: int = 0
@@ -190,12 +188,11 @@ class SimCluster:
             chaos.byzantine_set(ids) if chaos is not None else frozenset()
         )
 
-    def _make_server(self, log: EventLog | None = None) -> TaskFarmServer:
+    def _make_server(self) -> TaskFarmServer:
         return TaskFarmServer(
             policy=self._policy,
             lease_timeout=self._lease_timeout,
             obs=self.obs,
-            log=log,
             integrity=self.integrity,
             max_unit_attempts=self._max_unit_attempts,
             pipeline=self.pipeline,
@@ -215,8 +212,8 @@ class SimCluster:
         if at <= 0.0:
             self.server.submit(problem, now=self.sim.now)
         else:
-            # Deferred submission: becomes a simulation event, so the
-            # event log stays causal and donors idle until it lands.
+            # Deferred submission: becomes a simulation event, so
+            # donors idle until it lands.
             self._pending_submissions += 1
 
             def land() -> None:
@@ -323,7 +320,6 @@ class SimCluster:
             makespans=makespans,
             results=results,
             completed=completed,
-            log=self.server.log,
             machine_units=dict(self._machine_units),
             machine_busy=dict(self._machine_busy),
             bytes_transferred=self.network.bytes_transferred,
@@ -366,19 +362,17 @@ class SimCluster:
         if self._all_done():
             return
         now = self.sim.now
-        log = self.server.log  # event-log continuity across the restart
-        log.record(now, "server.restarted")
         if not self._journal_enabled:
             from repro.core.checkpoint import dumps_checkpoint, loads_checkpoint
 
             blob = dumps_checkpoint(self.server, now)
-            fresh = self._make_server(log=log)
+            fresh = self._make_server()
             loads_checkpoint(blob, fresh, now)
             self.server = fresh
             return
         if self.chaos.torn_tail_bytes:
             torn_tail(self.journal_store, self.chaos.torn_tail_bytes)
-        fresh = self._make_server(log=log)
+        fresh = self._make_server()
         fresh_gateway = None
         if self.gateway is not None:
             from repro.core.gateway import JobGateway

@@ -218,7 +218,6 @@ def restore_checkpoint(
         if snap.failure_reason is not None:
             server._failures[pid] = snap.failure_reason
         server._rebalance_votes(state, now, reason="restore")
-        server.log.record(now, "problem.restored", problem_id=pid, name=snap.problem.name)
         restored.append(pid)
     return restored
 

@@ -493,9 +493,6 @@ class JobGateway:
         ):
             tenant.rejected += 1
             self._m_rejected.inc()
-            self.server.log.record(
-                now, "job.rejected", tenant=tenant_id, pending=len(tenant.pending)
-            )
             raise AdmissionError(
                 f"tenant {tenant_id!r} admission queue full "
                 f"({len(tenant.pending)}/{tenant.config.max_pending} pending); "
@@ -529,13 +526,6 @@ class JobGateway:
         self._next_job_id = max(self._next_job_id, job_id + 1)
         tenant.pending.append(job)
         self._m_submitted.inc()
-        self.server.log.record(
-            now,
-            "job.submitted",
-            job_id=job_id,
-            tenant=tenant_id,
-            problem_id=job.problem_id,
-        )
 
     def cancel_job(self, job_id: int, now: float = 0.0) -> bool:
         """Cancel a queued or running job; returns False when the job
@@ -576,9 +566,6 @@ class JobGateway:
             self.server.cancel_problem(job.problem_id, now)
             tenant.running.discard(job.job_id)
         self._end_job(tenant, job, JobStatus.CANCELLED, now)
-        self.server.log.record(
-            now, "job.cancelled", job_id=job.job_id, tenant=job.tenant_id
-        )
 
     def pump(self, now: float) -> None:
         """Reconcile finished problems into job states and promote
@@ -625,27 +612,12 @@ class JobGateway:
         self._h_queue_wait.observe(wait)
         self._m_started.inc()
         self.server.submit(problem, now)
-        self.server.log.record(
-            now,
-            "job.started",
-            job_id=job.job_id,
-            tenant=job.tenant_id,
-            problem_id=job.problem_id,
-            queue_wait=wait,
-        )
 
     def _reconcile_job(self, tenant: _TenantState, job: Job, now: float) -> None:
         """Fold a finished problem's terminal status into its job."""
         status = _JOB_ENDINGS[self.server.status(job.problem_id)]
         tenant.running.discard(job.job_id)
         self._end_job(tenant, job, status, now)
-        self.server.log.record(
-            now,
-            f"job.{job.status.value}",
-            job_id=job.job_id,
-            tenant=job.tenant_id,
-            problem_id=job.problem_id,
-        )
 
     def _end_job(
         self, tenant: _TenantState, job: Job, status: JobStatus, now: float
@@ -735,7 +707,7 @@ class JobGateway:
     def replay(self, record: dict) -> None:
         """Apply one ``gateway.*`` journal record by running the
         transition that wrote it (:func:`repro.core.journal.recover`
-        binds scratch sinks, so nothing is counted or logged twice)."""
+        binds scratch sinks, so nothing is counted twice)."""
         kind = record["kind"]
         now = record["now"]
         if kind == "gateway.tenant":

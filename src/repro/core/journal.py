@@ -36,9 +36,8 @@ it — a cut, vote, fold or reputation event through its
 ``TaskFarmServer`` method, a problem's end through ``_end_problem``, a
 job submit, start or cancel through the gateway's own methods — so
 each is written once.  During replay the server's
-journal is off and its meters, spans and event log are bound to scratch
-sinks: a recovered server's meters count only post-recovery work and
-the event log stays causal.
+journal is off and its meters and spans are bound to scratch sinks, so
+a recovered server's meters count only post-recovery work.
 """
 
 from __future__ import annotations
@@ -476,18 +475,8 @@ def _apply(server: TaskFarmServer, record: dict, gateway=None) -> None:
         raise JournalError(f"unknown journal record kind {kind!r}")
 
 
-class _Discard:
-    """Event sink for replay: what a replayed transition logs happened
-    before the crash, at times the live log has already passed."""
-
-    def record(self, time: float, kind: str, **data: Any) -> None:
-        pass
-
-
-def _bind_sinks(server: TaskFarmServer, gateway, obs: Observability, log) -> None:
-    """Point the server's (and gateway's) meters, spans and event log
-    at *obs* and *log*."""
-    server.log = log
+def _bind_sinks(server: TaskFarmServer, gateway, obs: Observability) -> None:
+    """Point the server's (and gateway's) meters and spans at *obs*."""
     server._bind_obs(obs)
     if gateway is not None:
         gateway._bind_meters(obs.meters)
@@ -530,14 +519,13 @@ def recover(
     """
     from repro.core.checkpoint import parse_checkpoint, restore_checkpoint
 
-    obs, log = server.obs, server.log
+    obs = server.obs
     started = time.perf_counter()
-    # Recovery runs the live transitions against scratch sinks: replayed
-    # records carry pre-crash timestamps (the live log must stay
-    # causal), pre-crash work must not count twice in the meters or
-    # spans, and nothing is journaled again.
+    # Recovery runs the live transitions against scratch sinks:
+    # pre-crash work must not count twice in the meters or spans, and
+    # nothing is journaled again.
     server.journal = None
-    _bind_sinks(server, gateway, Observability(), _Discard())
+    _bind_sinks(server, gateway, Observability())
     checkpoint_lsn = 0
     restored: list[int] = []
     try:
@@ -577,20 +565,13 @@ def recover(
         if gateway is not None:
             gateway.reconcile(now)
     finally:
-        _bind_sinks(server, gateway, obs, log)
+        _bind_sinks(server, gateway, obs)
         server._problem_spans.clear()  # opened on the scratch tracer
     server._g_problems_running.set(len(server.active_problem_ids()))
     server._g_quarantined.set(len(server.reputation.quarantined_ids()))
     server._sync_donor_gauges()
     if gateway is not None:
         gateway._sync_gauges()
-    server.log.record(
-        now,
-        "server.recovered",
-        replayed=replayed,
-        checkpoint_lsn=checkpoint_lsn,
-        torn_bytes=torn_bytes,
-    )
     obs.meters.counter("farm.recovery.replayed").inc(replayed)
     obs.meters.counter("farm.recovery.seconds").inc(time.perf_counter() - started)
     server.journal = JournalWriter(

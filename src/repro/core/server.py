@@ -39,9 +39,8 @@ from repro.core.scheduler import (
     ProblemRoundRobin,
 )
 from repro.core.workunit import UnitStatus, WorkResult, WorkUnit
-from repro.obs import ITEMS_BUCKETS, LATENCY_BUCKETS, Observability
+from repro.obs import ITEMS_BUCKETS, LATENCY_BUCKETS, Counter, Observability
 from repro.obs.trace import Span
-from repro.util.events import EventLog
 
 
 class ProblemStatus(enum.Enum):
@@ -51,7 +50,7 @@ class ProblemStatus(enum.Enum):
     CANCELLED = "cancelled"
 
 
-#: The journal record (and event-log kind) of each way a problem ends.
+#: The journal record of each way a problem ends.
 END_RECORDS = {
     ProblemStatus.COMPLETE: "problem.completed",
     ProblemStatus.FAILED: "problem.failed",
@@ -191,22 +190,18 @@ class TaskFarmServer:
         granularity control.
     lease_timeout:
         Seconds a donor may hold a unit before it is requeued.
-    log:
-        Event sink; a fresh :class:`~repro.util.events.EventLog` is
-        created when omitted.
     obs:
         Streaming meters + tracer (:class:`~repro.obs.Observability`);
         a private bundle is created when omitted.  Counters are updated
-        at exactly the program points that record events, so their
-        end-of-run totals reconcile with
-        :func:`repro.core.metrics.run_metrics`.
+        at the program points that journal each decision, so at the end
+        of a run ``farm.units.completed`` and ``farm.items.completed``
+        equal the journal's ``unit.fold`` records and their items.
     """
 
     def __init__(
         self,
         policy: GranularityPolicy | None = None,
         lease_timeout: float = 300.0,
-        log: EventLog | None = None,
         max_unit_attempts: int = 5,
         obs: Observability | None = None,
         integrity: IntegrityPolicy | None = None,
@@ -222,7 +217,6 @@ class TaskFarmServer:
         # acknowledged; None runs the historical in-memory-only mode.
         self.journal = journal
         self.leases = LeaseTable(lease_timeout)
-        self.log = log or EventLog()
         self.max_unit_attempts = max_unit_attempts
         self.integrity = integrity or IntegrityPolicy()
         self.pipeline = pipeline or PipelineConfig()
@@ -330,9 +324,6 @@ class TaskFarmServer:
         self._journal("problem.submit", now, problem=problem)
         self._problems[problem.problem_id] = _ProblemState(problem, now)
         self._running[problem.problem_id] = None
-        self.log.record(
-            now, "problem.submitted", problem_id=problem.problem_id, name=problem.name
-        )
         self._m_problems_submitted.inc()
         self._g_problems_running.set(len(self._running))
         self._problem_spans[problem.problem_id] = self.obs.tracer.start(
@@ -389,14 +380,6 @@ class TaskFarmServer:
             self.deregister_donor(donor_id, now)
         self._journal("donor.register", now, donor=donor_id, slots=slots)
         self._donors[donor_id] = DonorState(donor_id, now, now, slots=slots)
-        if slots > 1:
-            # Serial donors keep the historical event shape (replay
-            # determinism tests compare logs field-for-field).
-            self.log.record(
-                now, "donor.registered", donor_id=donor_id, slots=slots
-            )
-        else:
-            self.log.record(now, "donor.registered", donor_id=donor_id)
         self._sync_donor_gauges()
 
     def deregister_donor(self, donor_id: str, now: float = 0.0) -> None:
@@ -409,7 +392,6 @@ class TaskFarmServer:
         self._journal("donor.deregister", now, donor=donor_id)
         for lease in self.leases.revoke_donor(donor_id):
             self._recover_unit(lease.unit, now, reason="donor-left")
-        self.log.record(now, "donor.deregistered", donor_id=donor_id)
         self._sync_donor_gauges()
 
     def heartbeat(self, donor_id: str, now: float) -> None:
@@ -524,17 +506,6 @@ class TaskFarmServer:
         state.units_issued += 1
         self.dispatch.served(pid)
         inline_bytes, wire_bytes = self._charge_delivery(donor_id, unit)
-        self.log.record(
-            now,
-            "unit.issued",
-            problem_id=pid,
-            unit_id=unit.unit_id,
-            donor_id=donor_id,
-            items=unit.items,
-            attempt=unit.attempts,
-            input_bytes=wire_bytes,
-            **({"reissue": True} if reissue else {}),
-        )
         self._m_units_issued.inc()
         if reissue:
             self._m_tail_reissues.inc()
@@ -628,10 +599,13 @@ class TaskFarmServer:
                 self._m_blob_bytes.inc(ref.size)
         return inline_bytes, wire_bytes
 
-    def _refuse(self, result: WorkResult, now: float, kind: str) -> Lease | None:
-        """Log a result that will not be applied as ``unit.<kind>`` and
+    def _refuse(
+        self, result: WorkResult, now: float, counter: Counter
+    ) -> Lease | None:
+        """Count a result that will not be applied on *counter* and
         drop the submitting donor's lease, which is returned, so a
         depth-limited donor gets its slot back."""
+        counter.inc()
         lease = self.leases.release(
             result.problem_id, result.unit_id, result.donor_id
         )
@@ -640,13 +614,6 @@ class TaskFarmServer:
             self._end_donor_unit(donor, result.problem_id, result.unit_id)
             donor.last_seen = now
             self._sync_donor_gauges()
-        self.log.record(
-            now,
-            f"unit.{kind}",
-            problem_id=result.problem_id,
-            unit_id=result.unit_id,
-            donor_id=result.donor_id,
-        )
         return lease
 
     def _eligible(self, state: _ProblemState, unit_id: int, donor_id: str) -> bool:
@@ -715,7 +682,7 @@ class TaskFarmServer:
 
         Exactly-once semantics: a unit whose lease expired may produce
         two results (the late original and the reissue); the first to
-        arrive is applied, later ones are logged and dropped.
+        arrive is applied, later ones are counted and dropped.
         """
         state = self._problems.get(result.problem_id)
         if (
@@ -727,12 +694,10 @@ class TaskFarmServer:
             # fresh quorum; folding now would bypass verification.
             or result.unit_id >= state.next_unit_id
         ):
-            self._refuse(result, now, "stale")
-            self._m_units_stale.inc()
+            self._refuse(result, now, self._m_units_stale)
             return False
         if result.unit_id in state.completed_units:
-            self._refuse(result, now, "duplicate")
-            self._m_units_duplicate.inc()
+            self._refuse(result, now, self._m_units_duplicate)
             # The whole unit was computed twice and this copy lost the
             # race: its items are the price of speculation.
             self._m_wasted_items.inc(result.items)
@@ -742,8 +707,7 @@ class TaskFarmServer:
             # A quarantined donor's answer is refused outright — its
             # leases were revoked at quarantine time, but a result can
             # still be in flight when the verdict lands.
-            lease = self._refuse(result, now, "untrusted")
-            self._m_untrusted.inc()
+            lease = self._refuse(result, now, self._m_untrusted)
             if lease is not None:
                 self._recover_unit(lease.unit, now, reason="donor-quarantined")
             return False
@@ -771,25 +735,9 @@ class TaskFarmServer:
             return True
 
         if result.donor_id in voting.voters():
-            self.log.record(
-                now,
-                "unit.duplicate",
-                problem_id=result.problem_id,
-                unit_id=result.unit_id,
-                donor_id=result.donor_id,
-            )
             self._m_units_duplicate.inc()
             return False
         self._cast_vote(voting, result, now)
-        self.log.record(
-            now,
-            "unit.vote",
-            problem_id=result.problem_id,
-            unit_id=result.unit_id,
-            donor_id=result.donor_id,
-            votes=len(voting.votes),
-            required=voting.required,
-        )
         self._sync_donor_gauges()
 
         top_digest, top_count = voting.tally()  # type: ignore[misc]
@@ -804,13 +752,6 @@ class TaskFarmServer:
             # (or user code is nondeterministic).  Escalate — demand one
             # more independent opinion — until max_votes gives up.
             self._m_disagreements.inc()
-            self.log.record(
-                now,
-                "unit.disagreement",
-                problem_id=result.problem_id,
-                unit_id=result.unit_id,
-                votes=len(voting.votes),
-            )
             if len(voting.votes) >= self.integrity.max_votes:
                 self._end_problem(
                     state,
@@ -884,16 +825,6 @@ class TaskFarmServer:
         state.units_completed += 1
         state.items_completed += result.items
         self.dispatch.completed(result.problem_id, result.items)
-        self.log.record(
-            now,
-            "unit.completed",
-            problem_id=result.problem_id,
-            unit_id=result.unit_id,
-            donor_id=result.donor_id,
-            items=result.items,
-            compute_seconds=result.compute_seconds,
-            output_bytes=result.output_bytes,
-        )
         self._m_units_completed.inc()
         self._m_items_completed.inc(result.items)
         self._m_bytes_out.inc(result.output_bytes)
@@ -924,13 +855,6 @@ class TaskFarmServer:
                 self._m_agreements.inc()
             else:
                 self._m_disagreements.inc()
-                self.log.record(
-                    now,
-                    "unit.disagreement",
-                    problem_id=pid,
-                    unit_id=unit_id,
-                    donor_id=vote.donor_id,
-                )
                 self._rate(vote.donor_id, "disagreements", now)
 
     def _rate(self, donor_id: str, field: str, now: float) -> None:
@@ -951,9 +875,6 @@ class TaskFarmServer:
             ReputationState.BLACKLISTED,
         ):
             return
-        self.log.record(
-            now, f"donor.{new_state.value}", donor_id=donor_id
-        )
         self._m_quarantines.inc()
         self._g_quarantined.set(len(self.reputation.quarantined_ids()))
         donor = self._donors.get(donor_id)
@@ -1020,15 +941,6 @@ class TaskFarmServer:
         if unit_id in state.completed_units or lease is None:
             return
         unit = lease.unit
-        self.log.record(
-            now,
-            "unit.failed",
-            problem_id=problem_id,
-            unit_id=unit_id,
-            donor_id=donor_id,
-            attempt=unit.attempts,
-            error=error[:500],
-        )
         self._m_units_failed.inc()
         self._sync_donor_gauges()
         if self.integrity.active:
@@ -1101,16 +1013,14 @@ class TaskFarmServer:
         state.voting.clear()
         state.items_cut = state.items_completed
         if status is ProblemStatus.COMPLETE:
-            detail = span_attrs = {
+            span_attrs = {
                 "units": state.units_completed,
                 "items": state.items_completed,
             }
         elif reason is not None:
-            detail = {"reason": reason[:500]}
             span_attrs = {"status": "failed", "reason": reason[:100]}
         else:
-            detail, span_attrs = {}, {"status": "cancelled"}
-        self.log.record(now, kind, problem_id=pid, name=state.problem.name, **detail)
+            span_attrs = {"status": "cancelled"}
         self._m_problems_ended[status].inc()
         self._g_problems_running.set(len(self._running))
         self._sync_donor_gauges()
@@ -1145,13 +1055,6 @@ class TaskFarmServer:
             return
         unit.status = UnitStatus.EXPIRED
         state.requeue.append(unit)
-        self.log.record(
-            now,
-            "unit.requeued",
-            problem_id=unit.problem_id,
-            unit_id=unit.unit_id,
-            reason=reason,
-        )
         self._m_units_requeued.inc()
         span = self._unit_spans.pop((unit.problem_id, unit.unit_id), None)
         if span is not None:
@@ -1247,17 +1150,10 @@ class TaskFarmServer:
         for i in range(max(0, deficit)):
             if live + votes + queued == 0 and i == 0:
                 # The unit vanished entirely: this is recovery, which
-                # keeps the historical requeue path (and its events).
+                # goes through the requeue path (and its meter).
                 self._requeue_unit(unit, now, reason)
             else:
                 state.replicas.append(unit)
-                self.log.record(
-                    now,
-                    "unit.replica",
-                    problem_id=pid,
-                    unit_id=unit.unit_id,
-                    reason=reason,
-                )
 
     def _state(self, problem_id: int) -> _ProblemState:
         try:

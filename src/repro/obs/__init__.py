@@ -1,17 +1,17 @@
 """Live observability: streaming meters + span tracing.
 
-The event log (:mod:`repro.util.events`) is the system's flight
-recorder — complete, but only analysed after landing.  This package is
-the cockpit instrument panel: counters/gauges/histograms updated while
-the farm runs (:mod:`repro.obs.meters`) and span trees for individual
-operations (:mod:`repro.obs.trace`).  One :class:`Observability` bundle
-is threaded through the server, the RMI layer, the data channel and
-both cluster drivers, so a live deployment and a simulated run emit
-identical telemetry and ``repro-status`` can render either.
+The journal (:mod:`repro.core.journal`) is the system's flight
+recorder — every decision, durable, replayed after a crash.  This
+package is the cockpit instrument panel: counters/gauges/histograms
+updated while the farm runs (:mod:`repro.obs.meters`) and span trees
+for individual operations (:mod:`repro.obs.trace`).  One
+:class:`Observability` bundle is threaded through the server, the RMI
+layer, the data channel and both cluster drivers, so a live deployment
+and a simulated run emit identical telemetry and ``repro-status`` can
+render either.
 
 End-of-run invariant (enforced by tests): streaming counter totals
-reconcile exactly with :func:`repro.core.metrics.run_metrics` computed
-from the event log.
+reconcile exactly with the journal's records of the same decisions.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Streaming metrics: counters, gauges and fixed-bucket histograms.
 
-The post-hoc accounting in :mod:`repro.core.metrics` answers "what
-happened?" after a run finishes; these meters answer "what is happening
-*now*?".  They are updated inline as the farm runs and
+The journal (:mod:`repro.core.journal`) records each decision for
+replay; these meters count them, answering "what is happening *now*?".
+They are updated inline as the farm runs and
 :meth:`MeterRegistry.snapshot` works mid-flight, so an operator (or the
-status CLI) can watch a multi-day job without waiting for the event log
-to close.
+status CLI) can watch a multi-day job as it runs.
 
 Design rules:
 
@@ -16,9 +15,10 @@ Design rules:
 * Thread-safe.  The live cluster updates meters from RMI connection
   threads concurrently with snapshot readers.
 * Reconcilable.  Producers update counters at the same program points
-  that record events, so end-of-run totals must equal the event-log
-  derived :func:`repro.core.metrics.run_metrics` — a property the test
-  suite enforces.
+  that journal each decision, so end-of-run totals must equal the
+  journal's records (``farm.units.completed`` ≡ ``unit.fold``,
+  ``farm.problems.submitted`` ≡ ``problem.submit``) — a property the
+  test suite enforces.
 """
 
 from __future__ import annotations

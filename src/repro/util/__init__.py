@@ -1,16 +1,13 @@
-"""Shared utilities: configuration files, event logging, RNG streams,
-summary statistics and byte-framing helpers."""
+"""Shared utilities: configuration files, RNG streams and summary
+statistics."""
 
 from repro.util.config import ConfigError, ConfigFile
-from repro.util.events import Event, EventLog
 from repro.util.rng import spawn_rng, stable_seed
 from repro.util.stats import RunningStat, mean_confidence, speedup_curve
 
 __all__ = [
     "ConfigError",
     "ConfigFile",
-    "Event",
-    "EventLog",
     "RunningStat",
     "mean_confidence",
     "spawn_rng",

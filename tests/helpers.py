@@ -1,11 +1,12 @@
 """Shared test fixtures: simple DataManagers/Algorithms, a manual clock
-and the server invariant check."""
+and the server and journal invariant checks."""
 
 from __future__ import annotations
 
 import threading
 from typing import Any
 
+from repro.core.checkpoint import parse_checkpoint
 from repro.core.gateway import WeightedFairShare
 from repro.core.journal import JournalWriter, MemoryStore, read_journal
 from repro.core.problem import Algorithm, DataManager
@@ -20,7 +21,8 @@ def check_invariants(server) -> None:
 
     For every RUNNING problem, each unit id below ``next_unit_id`` that
     is not folded must be leased or queued, and a voting unit's votes,
-    leases and queued copies must still cover its required votes.  An
+    leases and queued copies must still cover its required votes, with
+    no donor holding a lease on a unit it has already voted on.  An
     ended problem holds no lease, queued copy or vote.
     """
     table = server.leases
@@ -81,6 +83,47 @@ def check_invariants(server) -> None:
                 1 for unit in held + queued if unit.unit_id == uid
             )
             assert supply >= voting.required, (pid, uid, supply, voting.required)
+            both = voting.voters() & set(table.holders(pid, uid))
+            assert not both, f"problem {pid} unit {uid}: {both} voted and hold a lease"
+
+
+def journaled(server):
+    """Give *server* an in-memory journal before any work reaches it;
+    returns the server."""
+    server.journal = JournalWriter(MemoryStore())
+    return server
+
+
+def check_folds_once(store, checkpoint: bytes | None = None) -> None:
+    """Assert from *store*'s journal that every ``unit.fold`` follows a
+    ``unit.cut`` of the same ``(pid, uid)`` and that no unit is folded
+    twice.
+
+    A compacted journal starts at a *checkpoint*: the units it covers
+    count as cut (every id below its ``next_unit_id``) and its folded
+    units as folded, and only records past its LSN are read.
+    """
+    cut: set[tuple[int, int]] = set()
+    folded: set[tuple[int, int]] = set()
+    start = 0
+    if checkpoint is not None:
+        blob = parse_checkpoint(checkpoint)
+        start = blob.journal_lsn
+        for snap in blob.snapshots:
+            pid = snap.problem.problem_id
+            cut.update((pid, uid) for uid in range(snap.next_unit_id))
+            folded.update((pid, uid) for uid in snap.completed_units)
+    records, _, _ = read_journal(store)
+    for record in records:
+        if record["lsn"] <= start:
+            continue
+        if record["kind"] == "unit.cut":
+            cut.add((record["pid"], record["uid"]))
+        elif record["kind"] == "unit.fold":
+            key = (record["result"].problem_id, record["result"].unit_id)
+            assert key in cut, f"lsn {record['lsn']}: {key} folded before its cut"
+            assert key not in folded, f"lsn {record['lsn']}: {key} folded twice"
+            folded.add(key)
 
 
 def rewrite_journal(store, upto: str | None = None, extra=()) -> MemoryStore:

@@ -24,6 +24,7 @@ from repro.bio.seq import DNA
 from repro.bio.seq.generate import random_sequence, seeded_database
 from repro.cluster.sim import FaultPlan, SimCluster, WireChaos, heterogeneous_pool
 from repro.core.integrity import IntegrityPolicy, canonical_digest
+from repro.core.journal import read_journal
 from repro.core.scheduler import FixedGranularity
 from repro.rmi import serialize
 from repro.rmi.datachannel import DataChannelServer, fetch_data, push_data
@@ -32,7 +33,7 @@ from repro.rmi.reconnect import ReconnectingPort
 from repro.rmi.transport import FrameSocket, TransportServer, dial
 from repro.obs.meters import MeterRegistry
 from repro.util.rng import spawn_rng
-from tests.helpers import check_invariants
+from tests.helpers import check_folds_once, check_invariants
 
 #: The chaos-smoke seed set.  CI adds one rolling seed from the run
 #: number (see .github/workflows/ci.yml) so the schedule space keeps
@@ -65,6 +66,14 @@ def chaos_plan(seed: int, restart_at: float | None) -> FaultPlan:
     )
 
 
+def check_journaled_run(cluster) -> None:
+    """Invariants of a finished run, plus exactly-once folding read back
+    from its journal when it ran one."""
+    check_invariants(cluster.server)
+    if cluster.journal_store is not None:
+        check_folds_once(cluster.journal_store, cluster._checkpoint_bytes)
+
+
 def run_sim(build_problem, chaos=None, integrity=None):
     cluster = SimCluster(
         heterogeneous_pool(6, seed=2),
@@ -77,7 +86,7 @@ def run_sim(build_problem, chaos=None, integrity=None):
     )
     pid = cluster.submit(build_problem())
     report = cluster.run()
-    check_invariants(cluster.server)
+    check_journaled_run(cluster)
     return cluster, pid, report
 
 
@@ -159,15 +168,25 @@ class TestChaosProperty:
         _digest, restart_at = dsearch_baseline
 
         def trace(seed):
-            cluster, _pid, report = run_sim(
+            cluster, _pid, _report = run_sim(
                 dsearch_factory,
                 chaos=chaos_plan(seed, restart_at),
                 integrity=IntegrityPolicy(replication=2),
             )
-            return [
-                (e.time, e.kind, e.data.get("donor_id"), e.data.get("unit_id"))
-                for e in report.log
-            ]
+            # Problem ids come from a process-global counter, so they
+            # are numbered by first appearance.
+            pids: dict[int, int] = {}
+            stream = []
+            for r in read_journal(cluster.journal_store)[0]:
+                result = r.get("result")
+                if result is not None:
+                    pid, uid, donor = result.problem_id, result.unit_id, result.donor_id
+                else:
+                    pid, uid, donor = r.get("pid"), r.get("uid"), r.get("donor")
+                if pid is not None:
+                    pid = pids.setdefault(pid, len(pids))
+                stream.append((r["kind"], r["now"], pid, uid, donor))
+            return stream
 
         assert trace(CHAOS_SEEDS[0]) == trace(CHAOS_SEEDS[0])
         assert trace(CHAOS_SEEDS[0]) != trace(CHAOS_SEEDS[1])
@@ -175,13 +194,13 @@ class TestChaosProperty:
     def test_faults_really_fire(self, dsearch_factory, dsearch_baseline):
         """Guard against a harness that silently injects nothing."""
         _digest, restart_at = dsearch_baseline
-        cluster, _pid, report = run_sim(
+        cluster, _pid, _report = run_sim(
             dsearch_factory,
             chaos=chaos_plan(CHAOS_SEEDS[0], restart_at),
             integrity=IntegrityPolicy(replication=2),
         )
-        assert report.log.of_kind("server.restarted")
         counters = cluster.obs.meters.snapshot()["counters"]
+        assert counters["farm.recovery.seconds"] > 0
         assert counters["farm.integrity.redundant_units"] > 0
 
 
@@ -241,7 +260,7 @@ class TestCachedChaosEquivalence:
         # The cache really was in the line of fire.
         assert counters["farm.cache.misses"] > 0
         assert counters["net.blob.bytes"] > 0
-        assert report.log.of_kind("server.restarted")
+        assert counters["farm.recovery.seconds"] > 0
 
     @pytest.mark.parametrize("seed", CACHE_CHAOS_SEEDS)
     def test_dprml_cached_chaos_matches_uncached_clean(
@@ -319,7 +338,6 @@ class TestRecoveryDrills:
         # A restart can land right after a checkpoint and replay zero
         # records; the recovery pass itself must still have run.
         assert counters["farm.recovery.seconds"] > 0
-        assert report.log.of_kind("server.recovered")
 
     @pytest.mark.parametrize("seed", RECOVERY_SEEDS)
     def test_dprml_journal_recovery_differential(
@@ -338,7 +356,6 @@ class TestRecoveryDrills:
         counters = cluster.obs.meters.snapshot()["counters"]
         assert counters["farm.journal.records"] > 0
         assert counters["farm.recovery.seconds"] > 0
-        assert report.log.of_kind("server.recovered")
 
     def test_dsearch_torn_tail_recovers_after_loud_truncation(
         self, dsearch_factory, dsearch_baseline
@@ -402,7 +419,7 @@ def run_gateway_sim(build_problem, chaos=None, integrity=None, cancel_at=None):
             lambda: cluster.gateway.cancel_job(4, now=cluster.sim.now),
         )
     report = cluster.run()
-    check_invariants(cluster.server)
+    check_journaled_run(cluster)
     return cluster, pids, report
 
 
@@ -439,7 +456,6 @@ class TestGatewayRecoveryDrills:
         counters = cluster.obs.meters.snapshot()["counters"]
         assert counters["farm.journal.records"] > 0
         assert counters["farm.recovery.seconds"] > 0
-        assert report.log.of_kind("server.recovered")
 
     @pytest.mark.parametrize("seed", RECOVERY_SEEDS)
     def test_dsearch_gateway_journal_recovery(

@@ -1,12 +1,12 @@
-"""Tests for the donor client loop, in-process port and metrics."""
+"""Tests for the donor client loop, in-process port and accounting."""
 
 import pytest
 
 from repro.core.client import DonorClient, InProcessServerPort, run_to_completion
-from repro.core.metrics import problem_metrics, run_metrics
 from repro.core.problem import FunctionAlgorithm, Problem
 from repro.core.scheduler import FixedGranularity
-from repro.core.server import TaskFarmServer
+from repro.core.server import ProblemStatus, TaskFarmServer
+from repro.core.status import snapshot
 from tests.helpers import (
     ManualClock,
     RangeSumAlgorithm,
@@ -93,7 +93,7 @@ class TestRunToCompletion:
         run_to_completion(server, donors=4)
         assert server.final_result(pid) == sum(range(100))
         # all four donors contributed registrations
-        assert len(server.log.of_kind("donor.registered")) == 4
+        assert len(server.donor_ids()) == 4
 
     def test_function_algorithm(self):
         server = TaskFarmServer(policy=FixedGranularity(10), lease_timeout=1000.0)
@@ -135,26 +135,29 @@ class TestMetrics:
             i += 1
         return server, pid
 
-    def test_problem_metrics(self):
+    def test_problem_accounting(self):
         server, pid = self._run()
-        pm = problem_metrics(server.log, pid)
-        assert pm.units_completed == 4
-        assert pm.items_completed == 40
-        assert pm.makespan > 0
-        assert pm.mean_unit_seconds == pytest.approx(2.0)
-        assert pm.units_requeued == 0
-        assert pm.duplicate_results == 0
+        counters = server.obs.meters.snapshot()["counters"]
+        assert counters["farm.units.completed"] == 4
+        assert counters["farm.items.completed"] == 40
+        assert server.makespan(pid) > 0
+        assert server.obs.meters.histogram("farm.unit.seconds").mean == (
+            pytest.approx(2.0)
+        )
+        assert counters["farm.units.requeued"] == 0
+        assert counters["farm.units.duplicate"] + counters["farm.units.stale"] == 0
 
-    def test_run_metrics_aggregates_donors(self):
+    def test_donor_states_aggregate_work(self):
         server, pid = self._run()
-        rm = run_metrics(server.log)
-        assert set(rm.donors) == {"d0", "d1"}
-        assert sum(d.units_completed for d in rm.donors.values()) == 4
-        assert rm.total_busy_seconds == pytest.approx(8.0)
-        assert 0 < rm.mean_utilization <= 1.0
-        assert pid in rm.problems
+        donors = [server.donor_state(d) for d in server.donor_ids()]
+        assert [d.donor_id for d in donors] == ["d0", "d1"]
+        assert sum(d.units_completed for d in donors) == 4
+        assert sum(d.busy_seconds for d in donors) == pytest.approx(8.0)
+        status = snapshot(server, server._problems[pid].completed_at)
+        assert all(0 < d.utilization <= 1.0 for d in status.donors)
+        assert server.status(pid) is ProblemStatus.COMPLETE
 
     def test_unknown_problem_raises(self):
         server, _pid = self._run()
         with pytest.raises(KeyError):
-            problem_metrics(server.log, 424242)
+            server.status(424242)

@@ -10,6 +10,10 @@ from repro.core.server import ProblemStatus, TaskFarmServer
 from tests.helpers import ManualClock, RangeSumAlgorithm, RangeSumDataManager
 
 
+def counter(server, name: str) -> float:
+    return server.obs.meters.counter(name).value
+
+
 def flaky_algorithm(fail_spans: set[tuple[int, int]], failures_left: dict):
     """Fails the given spans a limited number of times, then succeeds."""
 
@@ -38,8 +42,8 @@ class TestTransientFailures:
         client.run()
         assert server.final_result(pid) == sum(range(30))
         assert client.failures == 2
-        assert len(server.log.of_kind("unit.failed")) == 2
-        assert len(server.log.of_kind("unit.requeued")) == 2
+        assert counter(server, "farm.units.failed") == 2
+        assert counter(server, "farm.units.requeued") == 2
 
     def test_failure_events_carry_error_text(self):
         clock = ManualClock()
@@ -51,9 +55,11 @@ class TestTransientFailures:
         )
         port = InProcessServerPort(server, clock=clock)
         DonorClient("d0", port, sleep=lambda s: clock.advance(s), clock=clock).run()
-        event = server.log.first("unit.failed")
-        assert "transient failure" in event.data["error"]
-        assert event.data["attempt"] == 1
+        (span,) = [
+            s for s in server.obs.tracer.finished_spans("unit") if s.status == "failed"
+        ]
+        assert "transient failure" in span.attrs["error"]
+        assert span.attrs["attempt"] == 1
 
 
 def _poison_compute(span):
@@ -80,7 +86,7 @@ class TestPoisonUnit:
         client.run()
         assert server.status(pid) is ProblemStatus.FAILED
         assert "deterministic bug" in server.failure_reason(pid)
-        assert len(server.log.of_kind("unit.failed")) == 3
+        assert counter(server, "farm.units.failed") == 3
         with pytest.raises(RuntimeError, match="failed"):
             server.final_result(pid)
 
@@ -199,7 +205,7 @@ class TestQuorumExactlyOnce:
         # ...and the late third replica is a duplicate, not a re-fold.
         assert server.submit_result(result_from("d2"), clock.advance(1.0)) is False
         assert dm.folds == {first_unit: 1}
-        assert len(server.log.of_kind("unit.duplicate")) == 1
+        assert counter(server, "farm.units.duplicate") == 1
 
         # Finish the second unit through its own quorum.
         second = {

@@ -4,8 +4,10 @@ identically.
 The simulator's claim to validity is that it drives the *same*
 :class:`~repro.core.server.TaskFarmServer` as the live cluster.  These
 tests push one seeded workload through both drivers and require the
-unit-assignment sequences, the time-free event-log metrics and the
-final results to match exactly.
+journaled unit cuts, the time-free meter totals and the final results
+to match exactly.  The journal is the oracle for the cuts: it is the
+record a crashed server recovers from, so two drivers that journal the
+same cuts have made the same scheduling decisions.
 """
 
 from __future__ import annotations
@@ -15,19 +17,24 @@ import pickle
 from repro.cluster.local import ThreadCluster
 from repro.cluster.sim import SimCluster
 from repro.cluster.sim.machines import MachineSpec
-from repro.core.metrics import run_metrics
+from repro.core.journal import read_journal
 from repro.core.problem import Problem
 from repro.core.scheduler import AdaptiveGranularity, FixedGranularity
 from repro.core.server import TaskFarmServer
 from repro.core.workunit import WorkResult
-from repro.util.events import EventLog
-from tests.helpers import ManualClock, RangeSumAlgorithm, RangeSumDataManager
+from tests.helpers import (
+    ManualClock,
+    RangeSumAlgorithm,
+    RangeSumDataManager,
+    journaled,
+)
 
 N = 150
 
 
-def _issue_sequence(log: EventLog) -> list[tuple[int, int, int]]:
-    """The scheduling decisions, donor-anonymous: (problem, unit, items).
+def _cut_sequence(server: TaskFarmServer) -> list[tuple[int, int, int]]:
+    """The scheduling decisions, donor-anonymous: the journal's
+    ``unit.cut`` records as (problem, unit, items).
 
     Problem ids are normalized to order of first appearance — they are
     allocated from a process-global counter, so their absolute values
@@ -35,22 +42,27 @@ def _issue_sequence(log: EventLog) -> list[tuple[int, int, int]]:
     """
     norm: dict[int, int] = {}
     seq = []
-    for e in log.of_kind("unit.issued"):
-        pid = norm.setdefault(e.data["problem_id"], len(norm))
-        seq.append((pid, e.data["unit_id"], e.data["items"]))
+    for record in read_journal(server.journal.store)[0]:
+        if record["kind"] == "unit.cut":
+            pid = norm.setdefault(record["pid"], len(norm))
+            seq.append((pid, record["uid"], record["items"]))
     return seq
 
 
-def _timefree_totals(log: EventLog) -> dict:
-    m = run_metrics(log)
+def _timefree_totals(server: TaskFarmServer) -> dict:
+    counters = server.obs.meters.snapshot()["counters"]
     return {
-        "units_completed": m.total_units_completed,
-        "items_completed": m.total_items_completed,
-        "units_requeued": m.total_units_requeued,
-        "bytes_in": m.total_bytes_in,
-        "bytes_out": m.total_bytes_out,
-        "units_issued": sum(p.units_issued for p in m.problems.values()),
-        "duplicates": sum(p.duplicate_results for p in m.problems.values()),
+        name: counters[name]
+        for name in (
+            "farm.units.issued",
+            "farm.units.completed",
+            "farm.items.completed",
+            "farm.units.requeued",
+            "farm.units.duplicate",
+            "farm.units.stale",
+            "farm.bytes.in",
+            "farm.bytes.out",
+        )
     }
 
 
@@ -61,7 +73,7 @@ def _run_single_donor_manual(policy, n: int):
     compute for ``cost`` seconds, submit — but expressed through direct
     server calls, exactly as :class:`InProcessServerPort` would make them.
     """
-    server = TaskFarmServer(policy=policy, lease_timeout=1e9)
+    server = journaled(TaskFarmServer(policy=policy, lease_timeout=1e9))
     clock = ManualClock()
     pid = server.submit(
         Problem("sum", RangeSumDataManager(n), RangeSumAlgorithm()), now=clock()
@@ -98,6 +110,7 @@ def _run_sim_single_machine(policy, n: int):
     cluster = SimCluster(
         [MachineSpec("donor", speed=1.0)], policy=policy, seed=3, lease_timeout=1e9
     )
+    journaled(cluster.server)
     pid = cluster.submit(
         Problem("sum", RangeSumDataManager(n), RangeSumAlgorithm())
     )
@@ -111,6 +124,7 @@ class TestFixedGranularityDifferential:
         """One worker, fixed unit size: both drivers must cut the same
         units in the same order and account them identically."""
         live = ThreadCluster(workers=1, policy=FixedGranularity(7), lease_timeout=1e9)
+        journaled(live.server)
         live_pid = live.submit(
             Problem("sum", RangeSumDataManager(N), RangeSumAlgorithm())
         )
@@ -118,8 +132,8 @@ class TestFixedGranularityDifferential:
 
         sim_server, sim_pid, report = _run_sim_single_machine(FixedGranularity(7), N)
 
-        assert _issue_sequence(live.server.log) == _issue_sequence(sim_server.log)
-        assert _timefree_totals(live.server.log) == _timefree_totals(sim_server.log)
+        assert _cut_sequence(live.server) == _cut_sequence(sim_server)
+        assert _timefree_totals(live.server) == _timefree_totals(sim_server)
         assert live.final_result(live_pid) == report.results[sim_pid]
         assert live.final_result(live_pid) == N * (N - 1) // 2
 
@@ -139,29 +153,19 @@ class TestAdaptiveGranularityDifferential:
             AdaptiveGranularity(**policy_args), N
         )
 
-        live_seq = _issue_sequence(server.log)
-        sim_seq = _issue_sequence(sim_server.log)
+        live_seq = _cut_sequence(server)
+        sim_seq = _cut_sequence(sim_server)
         assert live_seq == sim_seq
         assert len({items for _, _, items in live_seq}) > 1, (
             "workload too small to exercise the adaptive ramp"
         )
-        assert _timefree_totals(server.log) == _timefree_totals(sim_server.log)
+        assert _timefree_totals(server) == _timefree_totals(sim_server)
         assert server.final_result(pid) == report.results[sim_pid]
 
     def test_meters_agree_across_drivers(self):
-        """The streaming counters, not just the event logs, must match."""
+        """The streaming counters, not just the journaled cuts, must match."""
         server, _ = _run_single_donor_manual(AdaptiveGranularity(target_seconds=8.0), N)
         sim_server, _, _ = _run_sim_single_machine(
             AdaptiveGranularity(target_seconds=8.0), N
         )
-        live = server.obs.meters.snapshot()["counters"]
-        sim = sim_server.obs.meters.snapshot()["counters"]
-        for key in (
-            "farm.units.issued",
-            "farm.units.completed",
-            "farm.items.completed",
-            "farm.units.requeued",
-            "farm.bytes.in",
-            "farm.bytes.out",
-        ):
-            assert live[key] == sim[key], key
+        assert _timefree_totals(server) == _timefree_totals(sim_server)

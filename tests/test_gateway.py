@@ -182,7 +182,6 @@ class TestAdmission:
         assert counters(server)["farm.gateway.jobs.rejected"] == 1
         snap = gateway.snapshot()["tenants"][0]
         assert snap["rejected"] == 1 and snap["pending"] == 2
-        assert server.log.of_kind("job.rejected")
 
     def test_rejected_submit_does_not_burn_a_job_id(self):
         gateway = JobGateway(
@@ -260,8 +259,8 @@ class TestJobLifecycle:
         info = gateway.job_status(job_id)
         assert info["status"] == "done" and info["progress"] == 1.0
         assert gateway.job_result(job_id) == sum(range(25))
+        assert counters(server)["farm.gateway.jobs.started"] == 1
         assert counters(server)["farm.gateway.jobs.done"] == 1
-        assert server.log.of_kind("job.started") and server.log.of_kind("job.done")
 
     def test_queued_job_starts_when_slot_frees(self):
         server = make_server()

@@ -226,7 +226,6 @@ class TestByzantineDonor:
         )
         assert server.submit_result(forged, 2.0) is False
         assert counters(server)["farm.integrity.untrusted"] == 1
-        assert server.log.of_kind("unit.untrusted")
 
 
 class TestReputationPersistence:

@@ -1,55 +1,59 @@
 """Degenerate-input regression tests for the accounting layer.
 
-The divisions hiding in utilization and histogram statistics must be
-defined for empty farms, empty runs and zero-span donor careers — the
-states every farm passes through at startup.
+The divisions hiding in the status panel's utilization and the
+histogram statistics must be defined for empty farms, empty runs and
+zero-span donor careers — the states every farm passes through at
+startup.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.metrics import DonorMetrics, run_metrics
 from repro.core.scheduler import FixedGranularity
 from repro.core.server import TaskFarmServer
 from repro.core.problem import Problem
-from repro.core.status import render_status, snapshot_dict
+from repro.core.status import render_status, snapshot, snapshot_dict
 from repro.core.workunit import WorkResult
-from repro.util.events import EventLog
 from tests.helpers import RangeSumAlgorithm, RangeSumDataManager
+
+
+def donor_utilization(registered: float, busy: float, now: float) -> float:
+    """The status panel's utilization of a donor registered at
+    *registered* that reports one unit of *busy* compute seconds at
+    *now* (no unit at all when *busy* is 0)."""
+    server = TaskFarmServer(policy=FixedGranularity(4))
+    pid = server.submit(
+        Problem("one", RangeSumDataManager(4), RangeSumAlgorithm()), now=registered
+    )
+    server.register_donor("d", now=registered)
+    if busy:
+        a = server.request_work("d", now=registered)
+        result = WorkResult(pid, a.unit_id, sum(range(*a.payload)), "d", busy, a.items)
+        server.submit_result(result, now=now)
+    (donor,) = snapshot(server, now).donors
+    return donor.utilization
 
 
 class TestDonorUtilization:
     def test_zero_span_with_work_is_fully_utilized(self):
         """A donor whose whole recorded career is one instant but which
         did complete work was busy for all the time we saw it."""
-        d = DonorMetrics("d", busy_seconds=1.0, first_seen=5.0, last_seen=5.0)
-        assert d.utilization == 1.0
+        assert donor_utilization(5.0, busy=1.0, now=5.0) == 1.0
 
     def test_zero_span_without_work_is_idle(self):
-        d = DonorMetrics("d", busy_seconds=0.0, first_seen=5.0, last_seen=5.0)
-        assert d.utilization == 0.0
+        assert donor_utilization(5.0, busy=0.0, now=5.0) == 0.0
 
     def test_utilization_is_capped_at_one(self):
         # Clock skew between donor-reported compute time and server
         # timestamps can push busy over span; never report > 100%.
-        d = DonorMetrics("d", busy_seconds=10.0, first_seen=0.0, last_seen=5.0)
-        assert d.utilization == 1.0
+        assert donor_utilization(0.0, busy=10.0, now=5.0) == 1.0
 
     def test_normal_fraction(self):
-        d = DonorMetrics("d", busy_seconds=2.0, first_seen=0.0, last_seen=8.0)
-        assert d.utilization == pytest.approx(0.25)
+        assert donor_utilization(0.0, busy=2.0, now=8.0) == pytest.approx(0.25)
 
 
 class TestEmptyFarm:
-    def test_run_metrics_of_empty_log(self):
-        m = run_metrics(EventLog())
-        assert m.problems == {} and m.donors == {}
-        assert m.total_span == 0.0
-        assert m.mean_utilization == 0.0
-        assert m.total_units_completed == 0
-        assert m.total_bytes_in == m.total_bytes_out == 0
-
     def test_empty_server_snapshots_cleanly(self):
         server = TaskFarmServer()
         snap = snapshot_dict(server, now=0.0)
@@ -89,10 +93,9 @@ class TestSingleUnitRun:
             ),
             now=0.0,
         )
-        m = run_metrics(server.log)
-        assert m.problems[pid].units_completed == 1
-        assert m.problems[pid].makespan == 0.0
-        assert m.donors["d0"].utilization == 1.0  # zero span, real work
-        assert m.mean_utilization == 1.0
+        assert server.obs.meters.counter("farm.units.completed").value == 1
+        assert server.makespan(pid) == 0.0
+        (donor,) = snapshot(server, now=0.0).donors
+        assert donor.utilization == 1.0  # zero span, real work
         h = server.obs.meters.histogram("farm.unit.seconds")
         assert h.count == 1 and h.mean == pytest.approx(0.5)

@@ -1,10 +1,11 @@
-"""End-of-run reconciliation: streaming meters == post-hoc metrics.
+"""End-of-run reconciliation: streaming meters == journal records.
 
-The meters are the live instrument panel; the event log is the flight
-recorder.  They are updated at the same program points, so at the end
-of any run — simulated or live, calm or churning — the counter totals
-must equal the event-log-derived :func:`repro.core.metrics.run_metrics`
-*exactly*, not approximately.
+The meters are the live instrument panel; the write-ahead journal is
+the flight recorder, and the stronger oracle: it survives a crash.
+Both are updated at the same program points, so at the end of any run
+— simulated or live, calm or churning — the counter totals must equal
+the journal's records *exactly*: every fold, its items and every
+submit.
 """
 
 from __future__ import annotations
@@ -14,34 +15,33 @@ import time
 from repro.cluster.local import ThreadCluster
 from repro.cluster.sim import SimCluster
 from repro.cluster.sim.machines import MachineSpec
-from repro.core.metrics import run_metrics
+from repro.core.journal import read_journal
 from repro.core.problem import Algorithm, Problem
 from repro.core.scheduler import AdaptiveGranularity, FixedGranularity
 from repro.core.server import TaskFarmServer
 from repro.core.workunit import WorkResult
-from tests.helpers import ManualClock, RangeSumAlgorithm, RangeSumDataManager
+from tests.helpers import (
+    ManualClock,
+    RangeSumAlgorithm,
+    RangeSumDataManager,
+    check_folds_once,
+    journaled,
+)
 
 
 def assert_reconciles(server) -> None:
-    """Meter totals must equal event-log totals, field for field."""
+    """Meter totals must equal the journal's records, kind for kind."""
     counters = server.obs.meters.snapshot()["counters"]
-    m = run_metrics(server.log)
-    assert counters["farm.units.completed"] == m.total_units_completed
-    assert counters["farm.items.completed"] == m.total_items_completed
-    assert counters["farm.units.requeued"] == m.total_units_requeued
-    assert counters["farm.bytes.in"] == m.total_bytes_in
-    assert counters["farm.bytes.out"] == m.total_bytes_out
-    assert counters["farm.units.issued"] == sum(
-        p.units_issued for p in m.problems.values()
-    )
-    assert counters["farm.units.duplicate"] + counters["farm.units.stale"] == sum(
-        p.duplicate_results for p in m.problems.values()
-    )
-    assert counters["farm.problems.submitted"] == len(m.problems)
-    # And the per-unit histogram saw exactly the completed units.
-    assert server.obs.meters.histogram("farm.unit.seconds").count == (
-        m.total_units_completed
-    )
+    records, _, _ = read_journal(server.journal.store)
+    folds = [r["result"] for r in records if r["kind"] == "unit.fold"]
+    submits = [r for r in records if r["kind"] == "problem.submit"]
+    assert counters["farm.units.completed"] == len(folds)
+    assert counters["farm.items.completed"] == sum(r.items for r in folds)
+    assert counters["farm.bytes.out"] == sum(r.output_bytes for r in folds)
+    assert counters["farm.problems.submitted"] == len(submits)
+    # And the per-unit histogram saw exactly the folded units.
+    assert server.obs.meters.histogram("farm.unit.seconds").count == len(folds)
+    check_folds_once(server.journal.store)
 
 
 class TestSimReconciliation:
@@ -51,6 +51,7 @@ class TestSimReconciliation:
             policy=AdaptiveGranularity(target_seconds=10.0),
             seed=5,
         )
+        journaled(cluster.server)
         cluster.submit(Problem("a", RangeSumDataManager(500), RangeSumAlgorithm()))
         cluster.submit(Problem("b", RangeSumDataManager(300), RangeSumAlgorithm()))
         assert cluster.run().completed
@@ -71,6 +72,7 @@ class TestSimReconciliation:
             lease_timeout=30.0,
             seed=9,
         )
+        journaled(cluster.server)
         cluster.submit(Problem("sum", RangeSumDataManager(600), RangeSumAlgorithm()))
         report = cluster.run()
         assert report.completed
@@ -108,6 +110,7 @@ class TestLiveReconciliation:
             lease_timeout=0.02,
             idle_sleep=0.001,
         )
+        journaled(cluster.server)
         cluster.submit(Problem("slow", RangeSumDataManager(80), _SlowRangeSum(0.05)))
         cluster.run()
         counters = cluster.server.obs.meters.snapshot()["counters"]
@@ -120,7 +123,9 @@ class TestLiveReconciliation:
     def test_manual_clock_donor_churn(self):
         """Deterministic churn: a donor takes a unit and deregisters
         without returning it; a second donor cleans up."""
-        server = TaskFarmServer(policy=FixedGranularity(5), lease_timeout=1e9)
+        server = journaled(
+            TaskFarmServer(policy=FixedGranularity(5), lease_timeout=1e9)
+        )
         clock = ManualClock()
         pid = server.submit(
             Problem("sum", RangeSumDataManager(40), RangeSumAlgorithm()), clock()

@@ -210,7 +210,6 @@ class TestThreadedRecoveryDifferential:
         counters = fresh.obs.meters.snapshot()["counters"]
         assert counters["farm.recovery.seconds"] > 0
         assert report.next_lsn > 1
-        assert fresh.log.of_kind("server.recovered")
 
     @pytest.mark.parametrize("kill_after", KILL_POINTS)
     def test_dprml(self, kill_after, tmp_path, dprml_factory, dprml_threaded_digest):
@@ -218,7 +217,8 @@ class TestThreadedRecoveryDifferential:
             dprml_factory, journal_dir=tmp_path, kill_after=kill_after
         )
         assert digest == dprml_threaded_digest
-        assert fresh.log.of_kind("server.recovered")
+        counters = fresh.obs.meters.snapshot()["counters"]
+        assert counters["farm.recovery.seconds"] > 0
 
     def test_dsearch_torn_tail(self, tmp_path, dsearch_factory, dsearch_threaded_digest):
         digest, fresh, report = run_threaded(

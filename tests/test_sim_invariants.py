@@ -2,8 +2,8 @@
 
 Whatever the churn pattern, pool composition or granularity policy,
 the farm must satisfy its conservation laws: every item completed
-exactly once, no phantom work, event log causally ordered, makespan at
-least the theoretical bound.  Hypothesis searches the configuration
+exactly once, no phantom work (both read back from the journal),
+makespan at least the theoretical bound.  Hypothesis searches the configuration
 space for violations.
 """
 
@@ -17,6 +17,7 @@ from repro.cluster.sim import MachineSpec, SimCluster
 from repro.cluster.sim.machines import with_churn
 from repro.cluster.sim.trace import WorkloadTrace, trace_problem
 from repro.core.scheduler import AdaptiveGranularity, FixedGranularity
+from tests.helpers import check_folds_once, check_invariants, journaled
 
 
 @st.composite
@@ -74,23 +75,15 @@ def test_farm_conservation_laws(pool, stage_costs, policy, seed):
     cluster = SimCluster(
         pool, policy=policy, lease_timeout=300.0, seed=seed, execute=False
     )
+    journaled(cluster.server)
     pid = cluster.submit(trace_problem(trace))
     report = cluster.run(until=5e6)
 
-    log = report.log
-    issued = log.of_kind("unit.issued")
-    completed = log.of_kind("unit.completed")
-
-    # 1. Causal ordering is enforced by EventLog itself; reaching here
-    #    means no event went backwards.
-    # 2. No phantom completions: every completed unit id was issued.
-    issued_ids = {(e.data["problem_id"], e.data["unit_id"]) for e in issued}
-    completed_ids = [
-        (e.data["problem_id"], e.data["unit_id"]) for e in completed
-    ]
-    assert set(completed_ids) <= issued_ids
-    # 3. Exactly-once: no unit id completed twice.
-    assert len(completed_ids) == len(set(completed_ids))
+    # 1. The server's counters match its state and no cut unit is lost.
+    check_invariants(cluster.server)
+    # 2. No phantom completions: every folded unit was cut first.
+    # 3. Exactly-once: no unit folded twice.
+    check_folds_once(cluster.server.journal.store)
 
     if report.completed:
         # 4. All items accounted for exactly once.

@@ -1,4 +1,4 @@
-"""Tests for the event log, RNG helpers and statistics utilities."""
+"""Tests for the RNG helpers and statistics utilities."""
 
 import math
 
@@ -7,49 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.events import EventLog
 from repro.util.rng import spawn_rng, stable_seed
 from repro.util.stats import RunningStat, mean_confidence, speedup_curve
-
-
-class TestEventLog:
-    def test_record_and_query(self):
-        log = EventLog()
-        log.record(0.0, "a", x=1)
-        log.record(1.0, "b")
-        log.record(2.0, "a", x=2)
-        assert len(log) == 3
-        assert [e.data["x"] for e in log.of_kind("a")] == [1, 2]
-        assert log.first("a").time == 0.0
-        assert log.last("a").time == 2.0
-        assert log.first("missing") is None
-
-    def test_span(self):
-        log = EventLog()
-        assert log.span() == 0.0
-        log.record(1.5, "x")
-        assert log.span() == 0.0
-        log.record(4.0, "y")
-        assert log.span() == pytest.approx(2.5)
-
-    def test_out_of_order_rejected(self):
-        log = EventLog()
-        log.record(5.0, "x")
-        with pytest.raises(ValueError, match="recorded after"):
-            log.record(1.0, "y")
-
-    def test_where(self):
-        log = EventLog()
-        for t in range(5):
-            log.record(float(t), "tick", n=t)
-        assert len(log.where(lambda e: e.data["n"] % 2 == 0)) == 3
-
-    def test_extend_preserves_data(self):
-        src = EventLog()
-        src.record(0.0, "a", k=1)
-        dst = EventLog()
-        dst.extend(src)
-        assert dst[0].data == {"k": 1}
 
 
 class TestRng:

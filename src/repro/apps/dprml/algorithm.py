@@ -84,9 +84,11 @@ class DPRmlAlgorithm(Algorithm):
         tree size — the currency of :attr:`PlacementScore.cost` and of
         the Fig. 2 trace.  Donors score placements edge-locally for far
         less (:func:`~repro.bio.phylo.stepwise.evaluate_placements`);
-        the simulated clock does not follow that kernel.  The polish
-        pass sweeps every branch.  These weights only matter to the
-        simulator's clock, not to correctness.
+        the simulated clock does not follow that kernel.  A polish is
+        charged the same way: each pass as if every branch's probes
+        re-pruned the tree, though donors sweep the branches edge-locally
+        (:func:`~repro.bio.phylo.optimize.optimize_all_branches`).  These
+        weights only matter to the simulator's clock, not to correctness.
         """
         kind = payload[0]
         npat = self.alignment.n_patterns

@@ -24,11 +24,40 @@ three messages at that edge — no tree walk at all.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from repro.bio.phylo.alignment import SiteAlignment
 from repro.bio.phylo.models import GammaRates, SubstitutionModel, N_STATES
 from repro.bio.phylo.tree import Node, Tree
+
+
+def rescale_patterns(partial: np.ndarray) -> np.ndarray:
+    """Divide each pattern of a (K, npat, 4) *partial* in place by its
+    peak over categories and states; return the log of the factors."""
+    peak = partial.max(axis=(0, 2))
+    # A pattern impossible under the tree would give peak == 0;
+    # guard so log() stays finite and the zero propagates.
+    safe = np.where(peak > 0, peak, 1.0)
+    partial /= safe[None, :, None]
+    return np.log(safe)
+
+
+def up_partial(
+    above: np.ndarray,
+    above_scale: np.ndarray,
+    siblings: Iterable[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """An edge's scaled up partial and its log scale: the parent's
+    *above* message times each sibling's ``(down message, log scale)``
+    in *siblings*, rescaled per pattern."""
+    partial = above.copy()
+    scale_log = above_scale.copy()
+    for message, sibling_scale in siblings:
+        partial *= message
+        scale_log += sibling_scale
+    return partial, scale_log + rescale_patterns(partial)
 
 
 class TreeLikelihood:
@@ -138,13 +167,7 @@ class TreeLikelihood:
                 # (npat,4) @ (4,4)ᵀ: prob of data below child given
                 # each parent state.
                 partial[k] *= child_partial[k] @ P.T
-        # Per-pattern scaling across categories and states.
-        peak = partial.max(axis=(0, 2))
-        # A pattern impossible under the tree would give peak == 0;
-        # guard so log() stays finite and the zero propagates.
-        safe = np.where(peak > 0, peak, 1.0)
-        partial /= safe[None, :, None]
-        scale_log += np.log(safe)
+        scale_log += rescale_patterns(partial)
         self._partials[node] = partial
         self._scale_logs[node] = scale_log
 
@@ -245,17 +268,15 @@ class DirectionalPartials:
                 above_scale = up_scale[node]
             below = [self.down(child, child.branch_length) for child in node.children]
             for i, child in enumerate(node.children):
-                partial = above.copy()
-                scale_log = above_scale.copy()
-                for j, sibling in enumerate(node.children):
-                    if j != i:
-                        partial *= below[j]
-                        scale_log += tl._scale_logs[sibling]
-                peak = partial.max(axis=(0, 2))
-                safe = np.where(peak > 0, peak, 1.0)
-                partial /= safe[None, :, None]
-                self._up[child] = partial
-                up_scale[child] = scale_log + np.log(safe)
+                self._up[child], up_scale[child] = up_partial(
+                    above,
+                    above_scale,
+                    (
+                        (below[j], tl._scale_logs[sibling])
+                        for j, sibling in enumerate(node.children)
+                        if j != i
+                    ),
+                )
         # scale(U_n) + scale(D_n): each edge's constant log term.
         self._const = {
             node: scale_log + tl._scale_logs[node] for node, scale_log in up_scale.items()

@@ -1,11 +1,13 @@
 """Branch-length optimisation.
 
-One-dimensional bounded Brent search on each branch, exploiting the
-likelihood cache: changing one branch only invalidates the path to the
-root, so the objective re-evaluates in O(depth) node updates.
-``optimize_all_branches`` sweeps branches in postorder for a
-configurable number of passes — the standard coordinate-ascent scheme
-of fastDNAml and PAL.
+One-dimensional bounded Brent search on each branch.
+``optimize_branch`` re-prunes on every probe, exploiting the likelihood
+cache: changing one branch only invalidates the path to the root, so
+the objective re-evaluates in O(depth) node updates.
+``optimize_all_branches`` is the standard coordinate-ascent scheme of
+fastDNAml and PAL, done edge-locally: each pass is one depth-first
+traversal that scores every probe of a branch from the partials above
+and below it, with no tree walk (DESIGN §13, "branch sweep").
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from repro.bio.phylo.likelihood import TreeLikelihood
+import numpy as np
+
+from repro.bio.phylo.likelihood import TreeLikelihood, up_partial
+from repro.bio.phylo.models import N_STATES
 from repro.bio.phylo.tree import Node
 
 #: Bounds keep the optimiser away from exact zero (singular) and from
@@ -148,14 +153,79 @@ def optimize_all_branches(
 ) -> float:
     """Coordinate-ascent over every branch; returns the final
     log-likelihood.  Stops early when a full pass improves by less than
-    *min_improvement* log units."""
+    *min_improvement* log units.
+
+    Each pass is :func:`_sweep_branches`; its log-likelihood is then
+    *tl*'s own pruning value, so the early stop compares true values
+    and *tl* is consistent with the tree on return.
+    """
     loglik = tl.log_likelihood()
     for _ in range(passes):
         before = loglik
-        for node in tl.tree.postorder():
-            if node.parent is None:
-                continue
-            loglik = optimize_branch(tl, node, tol=tol)
+        _sweep_branches(tl, tol)
+        loglik = tl.log_likelihood()
         if loglik - before < min_improvement:
             break
     return loglik
+
+
+def _sweep_branches(tl: TreeLikelihood, tol: float) -> None:
+    """One pass over every branch, depth-first from the root.
+
+    At each edge ``n → p`` the up partial ``U_n`` is built from *p*'s
+    above-message (π at the root) and the siblings' down-messages
+    ``P(t_s)·D_s``, then ``t_n`` is Brent-optimised on the edge-local
+    site likelihood ``Σ_s U_n[s]·[P(t)·D_n][s]`` plus the constant
+    ``scale(U_n) + scale(D_n)`` — exact for the whole tree, since the
+    rest of it is fixed while ``t_n`` moves.  The sweep then descends
+    into *n* with ``P(t_n)ᵀ·U_n`` and on return rebuilds ``D_n`` (one
+    :class:`TreeLikelihood` node update) from its children's new
+    lengths.  So every edge costs at most two node updates however
+    deep it lies, and only the root's partial is stale afterwards.
+    *tl* must be evaluated (every partial current) on entry.
+    """
+    model, rates, weights = tl.model, tl.rates, tl.alignment.weights
+    down, down_scale = tl._partials, tl._scale_logs
+
+    def message(node: Node, t: float) -> np.ndarray:
+        """``P(t)·D_node`` per category: (K, npat, 4)."""
+        P = model.transition_matrices(t, rates.rates)
+        return np.matmul(down[node], P.transpose(0, 2, 1))
+
+    def visit(node: Node, above: np.ndarray, above_scale: np.ndarray) -> None:
+        for child in node.children:
+            up, up_scale = up_partial(
+                above,
+                above_scale,
+                (
+                    (message(sibling, sibling.branch_length), down_scale[sibling])
+                    for sibling in node.children
+                    if sibling is not child
+                ),
+            )
+            const = float(weights @ (up_scale + down_scale[child]))
+
+            def negative_loglik(t: float) -> float:
+                site_lik = np.einsum("kps,kps->kp", up, message(child, t))
+                mixed = rates.weights @ site_lik
+                if (mixed <= 0).any():
+                    return math.inf
+                return -(float(weights @ np.log(mixed)) + const)
+
+            x, _fx, _nfev = bounded_minimize(
+                negative_loglik, MIN_BRANCH, MAX_BRANCH, xatol=tol, maxiter=40
+            )
+            child.branch_length = float(x)
+            if not child.is_leaf:
+                P = model.transition_matrices(child.branch_length, rates.rates)
+                visit(child, np.matmul(up, P), up_scale)
+                tl._update(child)
+
+    root = tl.tree.root
+    npat = tl.alignment.n_patterns
+    visit(
+        root,
+        np.broadcast_to(model.freqs, (rates.categories, npat, N_STATES)),
+        np.zeros(npat),
+    )
+    tl.invalidate(root)

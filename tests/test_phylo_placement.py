@@ -1,12 +1,16 @@
-"""Edge-local placement scoring against the pruning oracle.
+"""Edge-local placement scoring and branch sweep against the pruning
+oracles.
 
 :func:`~repro.bio.phylo.stepwise.evaluate_placements` scores every
-candidate edge from directional partials computed once per call.  These
-properties pin it to what full pruning on the explicitly inserted tree
-gives (:mod:`tests.placement_oracle`), and pin the pruning path's own
-caching to a plain full-walk evaluator bit for bit.
+candidate edge from directional partials computed once per call, and
+:func:`~repro.bio.phylo.optimize.optimize_all_branches` scores every
+branch's Brent probes from the partials above and below it.  These
+properties pin both to what full pruning gives
+(:mod:`tests.placement_oracle`), and pin the pruning path's own caching
+to a plain full-walk evaluator bit for bit.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -22,7 +26,11 @@ from repro.bio.phylo.optimize import bounded_minimize, optimize_all_branches
 from repro.bio.phylo.simulate import random_yule_tree, simulate_alignment
 from repro.bio.phylo.stepwise import DEFAULT_LEAF_BRANCH, evaluate_placements
 from repro.bio.phylo.tree import parse_newick
-from tests.placement_oracle import FullWalkLikelihood, evaluate_placement
+from tests.placement_oracle import (
+    FullWalkLikelihood,
+    evaluate_placement,
+    optimize_all_branches_by_pruning,
+)
 
 FREQS = np.array([0.3, 0.2, 0.2, 0.3])
 MODELS = {
@@ -44,18 +52,44 @@ def placement_cases(draw):
     unknown = draw(st.sampled_from([0.0, 0.05, 0.2]))
 
     truth = random_yule_tree(n_taxa + 1, seed=seed, mean_branch=0.15)
+    alignment = _with_unknowns(truth, model, sites, unknown, seed)
+
+    tree = random_yule_tree(n_taxa, seed=seed + 2, mean_branch=0.15, prefix="x")
+    for leaf, name in zip(tree.leaves(), alignment.names[:n_taxa]):
+        leaf.name = name
+    return tree, alignment, alignment.names[n_taxa], model, rates
+
+
+@st.composite
+def generating_topology_cases(draw):
+    """A 4–12-taxon tree with every branch at one drawn length, the
+    alignment simulated down it (with gap/unknown codes), a model and
+    rates: enough data that the branch-length optimum is unique."""
+    n_taxa = draw(st.integers(4, 12))
+    seed = draw(st.integers(0, 10_000))
+    model = MODELS[draw(st.sampled_from(sorted(MODELS)))]
+    rates = GammaRates(0.7, 4) if draw(st.booleans()) else None
+    sites = draw(st.integers(120, 240))
+    unknown = draw(st.sampled_from([0.0, 0.05, 0.2]))
+    start = draw(st.sampled_from([0.05, 0.3, 1.0]))
+
+    tree = random_yule_tree(n_taxa, seed=seed, mean_branch=0.15)
+    alignment = _with_unknowns(tree, model, sites, unknown, seed)
+    for node in tree.edges():
+        node.branch_length = start
+    return tree, alignment, model, rates
+
+
+def _with_unknowns(truth, model, sites, unknown, seed):
+    """*sites* columns simulated down *truth*, each code turned into
+    the unknown code 4 with probability *unknown*."""
     simulated = simulate_alignment(truth, model, sites, seed=seed + 1)
     columns = np.repeat(
         simulated.patterns, simulated.weights.astype(np.intp), axis=1
     )
     rng = np.random.default_rng(seed)
     columns[rng.random(columns.shape) < unknown] = 4
-    alignment = SiteAlignment(simulated.names, columns)
-
-    tree = random_yule_tree(n_taxa, seed=seed + 2, mean_branch=0.15, prefix="x")
-    for leaf, name in zip(tree.leaves(), alignment.names[:n_taxa]):
-        leaf.name = name
-    return tree, alignment, alignment.names[n_taxa], model, rates
+    return SiteAlignment(simulated.names, columns)
 
 
 branch = st.floats(1e-6, 3.0)
@@ -222,7 +256,7 @@ class TestPruningShortcutsAreExact:
         for cls in (TreeLikelihood, FullWalkLikelihood):
             tree = start.copy()
             tl = cls(tree, aln, model, rates)
-            loglik = optimize_all_branches(tl, passes=2)
+            loglik = optimize_all_branches_by_pruning(tl, passes=2)
             runs.append((loglik, tree.newick(precision=17), tl.node_updates))
         assert runs[0] == runs[1]
 
@@ -244,3 +278,81 @@ class TestPruningShortcutsAreExact:
             updates = sum(tl.node_updates for tl in made)
             runs.append((loglik, rounds, tree.newick(precision=17), updates))
         assert runs[0] == runs[1]
+
+
+def _sweep_problem(case):
+    """A placement case's tree, on its own taxa."""
+    tree, alignment, _taxon, model, rates = case
+    return tree, alignment.subset(tree.leaf_names()), model, rates
+
+
+class TestBranchSweep:
+    """The edge-local sweep is pruning coordinate ascent, scored
+    without tree walks."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(placement_cases(), st.integers(1, 3))
+    def test_loglik_is_the_pruning_value_of_the_returned_tree(self, case, passes):
+        tree, alignment, model, rates = _sweep_problem(case)
+        tl = TreeLikelihood(tree, alignment, model, rates)
+        loglik = optimize_all_branches(tl, passes=passes)
+        fresh = TreeLikelihood(tree.copy(), alignment, model, rates).log_likelihood()
+        assert loglik == pytest.approx(fresh, rel=1e-9, abs=0)
+        assert tl.log_likelihood() == pytest.approx(fresh, rel=1e-9, abs=0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(placement_cases(), branch)
+    def test_every_objective_is_the_pruning_loglik(self, case, t):
+        """Each branch's Brent objective at any length is minus the
+        pruning lnL of the tree as the sweep has left it, with that
+        branch at that length.  Branches are visited in preorder."""
+        tree, alignment, model, rates = _sweep_problem(case)
+        n_edges = len(tree.edges())
+        pairs = []
+
+        def minimize(func, lo, hi, **kwargs):
+            probe = tree.copy()
+            edges = [node for node in probe.preorder() if node.parent is not None]
+            edges[len(pairs) % n_edges].branch_length = t
+            pruned = TreeLikelihood(probe, alignment, model, rates).log_likelihood()
+            pairs.append((-func(t), pruned))
+            return bounded_minimize(func, lo, hi, **kwargs)
+
+        tl = TreeLikelihood(tree, alignment, model, rates)
+        with mock.patch("repro.bio.phylo.optimize.bounded_minimize", minimize):
+            optimize_all_branches(tl, passes=2, min_improvement=-math.inf)
+        assert len(pairs) == 2 * n_edges
+        for edge_local, pruned in pairs:
+            assert edge_local == pytest.approx(pruned, rel=1e-9, abs=0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(placement_cases())
+    def test_a_pass_never_lowers_the_loglik(self, case):
+        tree, alignment, model, rates = _sweep_problem(case)
+        tl = TreeLikelihood(tree, alignment, model, rates)
+        before = tl.log_likelihood()
+        for _ in range(3):
+            after = optimize_all_branches(tl, passes=1, min_improvement=-math.inf)
+            assert after >= before - 1e-9
+            before = after
+
+    @settings(max_examples=12, deadline=None)
+    @given(generating_topology_cases())
+    def test_converges_to_the_pruning_optimum(self, case):
+        tree, alignment, model, rates = case
+        runs = []
+        for optimize in (optimize_all_branches, optimize_all_branches_by_pruning):
+            tl = TreeLikelihood(tree.copy(), alignment, model, rates)
+            runs.append(optimize(tl, passes=200, min_improvement=1e-7))
+        assert runs[0] == pytest.approx(runs[1], rel=0, abs=1e-6)
+
+    @settings(max_examples=15, deadline=None)
+    @given(placement_cases())
+    def test_pruning_cannot_improve_the_converged_sweep(self, case):
+        """On any topology, where the surface may have several optima,
+        the sweep still stops only where pruning finds no gain."""
+        tree, alignment, model, rates = _sweep_problem(case)
+        tl = TreeLikelihood(tree, alignment, model, rates)
+        converged = optimize_all_branches(tl, passes=200, min_improvement=1e-7)
+        polished = optimize_all_branches_by_pruning(tl, passes=1)
+        assert polished - converged < 1e-6
